@@ -6,9 +6,13 @@ Three independent routes to the same row B_2, B_4, ..., B_{p-3} mod p:
   out in Z/p.  O(p^2), the reference oracle.
 * ``voronoi`` -- the Voronoi congruence
   (t^k - 1) B_k / k == t^(k-1) * sum_j j^(k-1) floor(j*t/p)  (mod p).
-* ``fast``    -- Newton inversion of the power series (e^x - 1)/x truncated
-  mod x^(p-2); coefficient k of the inverse times k! is B_k.  Subquadratic
-  thanks to the Kronecker convolution, fast enough to sweep p < 25,000.
+* ``fast``    -- only the even B_k are wanted, and
+  x/(e^x - 1) + x/2 = (x/2) coth(x/2) is even, so everything is a series in
+  y = x^2: Newton inversion of sinh(x/2)/(x/2) = sum_j y^j / (4^j (2j+1)!)
+  truncated mod y^((p-1)/2), then one product with
+  cosh(x/2) = sum_j y^j / (4^j (2j)!); coefficient k of the product times
+  (2k)! is B_2k.  Subquadratic thanks to the Kronecker convolution, fast
+  enough to sweep p < 25,000.
 
 For 2 <= k <= p-3 the von Staudt-Clausen denominators are prime to p, so
 every entry is a well-defined residue and every division below is legal.
@@ -149,17 +153,23 @@ def bernoulli_fast_row(p: int) -> BernoulliRow:
     """Same contents as the naive row via truncated power-series inversion."""
     if not _check_row_prime(p):
         return BernoulliRow(p, {}, METHOD_FAST)
-    n = p - 2  # coefficients of degree 0 .. p-3
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
+    top = p - 2  # largest factorial needed: (2j+1)! with 2j+1 <= p-2
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
         fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * (n + 1)
-    inv_fact[n] = mod_inv(fact[n], p)
-    for i in range(n, 0, -1):
+    inv_fact = [1] * (top + 1)
+    inv_fact[top] = mod_inv(fact[top], p)
+    for i in range(top, 0, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
-    series = [inv_fact[j + 1] for j in range(n)]  # (e^x - 1)/x
-    inv = _series_inverse(series, n, p)
-    values = {k: inv[k] * fact[k] % p for k in range(2, p - 2, 2)}
+    n = (p - 1) // 2  # coefficients of y^0 .. y^((p-3)/2), y = x^2
+    inv4 = mod_inv(4, p)
+    inv4_pow = [1] * n
+    for j in range(1, n):
+        inv4_pow[j] = inv4_pow[j - 1] * inv4 % p
+    sinhc = [inv4_pow[j] * inv_fact[2 * j + 1] % p for j in range(n)]  # sinh(x/2)/(x/2)
+    cosh = [inv4_pow[j] * inv_fact[2 * j] % p for j in range(n)]  # cosh(x/2)
+    coth = convolution_mod(_series_inverse(sinhc, n, p), cosh, p)  # (x/2)coth(x/2)
+    values = {2 * k: coth[k] * fact[2 * k] % p for k in range(1, n)}
     return BernoulliRow(p, values, METHOD_FAST)
 
 
@@ -220,8 +230,11 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
             computed = [_sweep_worker(p) for p in todo]
         else:
             chunk = max(1, len(todo) // (jobs * 8))
+            # largest (slowest) primes first, so no long task is left for
+            # the end while the other workers idle; known restores the order
             with multiprocessing.Pool(jobs) as pool:
-                computed = list(pool.imap(_sweep_worker, todo, chunksize=chunk))
+                computed = list(
+                    pool.imap_unordered(_sweep_worker, todo[::-1], chunksize=chunk))
         known.update(computed)
         if cache is not None:
             cache.store(known)

@@ -6,8 +6,10 @@ by p.  The cache is auditable and mergeable by hand; a corrupt file is
 reported and ignored, never trusted.
 """
 
+import contextlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -55,11 +57,20 @@ class IrregularCache:
         for p in sorted(entries):
             ks = entries[p]
             lines.append(f"{p}\t{','.join(map(str, ks)) if ks else '-'}")
-        tmp = self.path.with_suffix(".tmp")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text("".join(line + "\n" for line in lines))
-            os.replace(tmp, self.path)
+            # a temp file of our own: concurrent sweeps sharing the directory
+            # must never move each other's half-written file into place
+            fd, tmp = tempfile.mkstemp(
+                prefix="irregular.", suffix=".tmp", dir=self.path.parent)
+            try:
+                with os.fdopen(fd, "w") as out:
+                    out.write("".join(line + "\n" for line in lines))
+                os.replace(tmp, self.path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
         except OSError as exc:
             print(f"cyclopair: cache not writable, continuing uncached: {exc}",
                   file=sys.stderr)

@@ -4,6 +4,9 @@ Everything here is pure and deterministic; residues are plain ints reduced
 into [0, m).
 """
 
+import sys
+from array import array
+
 # Smallest composite strong pseudoprime to bases 2, 3, 5, 7 is 3,215,031,751
 # (Jaeschke), so these bases decide primality for every n below that bound,
 # which covers the supported modulus range n < 2^31.
@@ -12,6 +15,8 @@ _MR_LIMIT = 3_215_031_751
 
 # Below this length the schoolbook convolution beats the packing overhead.
 _KRONECKER_CUTOFF = 16
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def is_prime(n: int) -> bool:
@@ -102,28 +107,43 @@ def _convolution_schoolbook(u: list[int], v: list[int], p: int) -> list[int]:
 
 
 def _convolution_kronecker(u: list[int], v: list[int], p: int) -> list[int]:
-    # Pack each sequence into one big integer with enough headroom per slot
-    # that the integer product carries the exact convolution values, then
-    # slice them back out.  Exact by construction.
+    # Pack each sequence into one big integer, one coefficient per slot of
+    # `words` 64-bit words: wide enough for the exact bound on every
+    # convolution value, so the integer product carries them without carries
+    # between slots.  array('Q') does the per-coefficient packing and
+    # unpacking in C.  One word covers every row with p below about 3e6; two
+    # cover every p < 2^32.  The reduced inputs fill the low word of a slot.
     n = len(u) + len(v) - 1
     maxc = min(len(u), len(v)) * (p - 1) * (p - 1)
-    w = (maxc.bit_length() + 7) // 8
-    bu = bytearray(len(u) * w)
-    for i, c in enumerate(u):
-        bu[i * w:(i + 1) * w] = (c % p).to_bytes(w, "little")
-    bv = bytearray(len(v) * w)
-    for i, c in enumerate(v):
-        bv[i * w:(i + 1) * w] = (c % p).to_bytes(w, "little")
-    prod = int.from_bytes(bytes(bu), "little") * int.from_bytes(bytes(bv), "little")
-    raw = prod.to_bytes(n * w + w, "little")
-    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") % p for i in range(n)]
+    words = (maxc.bit_length() + 63) // 64
+    prod = _pack_words(u, p, words) * _pack_words(v, p, words)
+    raw = array("Q", prod.to_bytes(8 * words * n, "little"))
+    if _BIG_ENDIAN:
+        raw.byteswap()
+    vals = raw[::words]
+    for j in range(1, words):
+        vals = [lo | hi << (64 * j) for lo, hi in zip(vals, raw[j::words])]
+    return [c % p for c in vals]
+
+
+def _pack_words(coeffs: list[int], p: int, words: int) -> int:
+    low = array("Q", [c % p for c in coeffs])
+    if words == 1:
+        slots = low
+    else:
+        slots = array("Q", bytes(8 * words * len(coeffs)))
+        slots[::words] = low
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
 
 
 def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
     """Full convolution of coefficient sequences mod p.
 
     Bit-exact with the schoolbook double loop on every input; the Kronecker
-    path is only a speedup.
+    path is only a speedup.  Inputs longer than the schoolbook cutoff need
+    p <= 2^64, so that a reduced coefficient fits in one 64-bit word.
     """
     if not u or not v:
         raise ValueError("convolution requires nonempty sequences")

@@ -190,14 +190,19 @@ def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
         return EligibleSet(p, tuple(odd), ())
     if table is not None and table.p != p:
         raise ValueError(f"table is for {table.p}, expected {p}")
-    entries = table.e_entries if table is not None else {}
-    eligible, missing = [], []
-    for i in odd:
-        vals = [entries.get((i, k)) for k in irr.indices]
-        if any(v is None for v in vals):
-            missing.append(i)
-        elif all(v != 0 for v in vals):
-            eligible.append(i)
+    # one pass over the table: for each offset, how many irregular k have an
+    # entry there, and the offsets where one of them is zero
+    R = set(irr.indices)
+    present: dict[int, int] = {}
+    zero: set[int] = set()
+    for (i, k), v in (table.e_entries if table is not None else {}).items():
+        if k in R:
+            present[i] = present.get(i, 0) + 1
+            if v == 0:
+                zero.add(i)
+    r = len(R)
+    eligible = [i for i in odd if present.get(i) == r and i not in zero]
+    missing = [i for i in odd if present.get(i, 0) < r]
     return EligibleSet(p, tuple(eligible), tuple(missing))
 
 

@@ -2,7 +2,8 @@
 
 Each test prints one ``ACCEPTANCE n (<name>): PASS|FAIL`` line (run pytest
 with -s to see them inline).  The heavy sweep below 25,000 is computed once
-per session by the conftest fixture.
+per session by the conftest fixture; the tests that need it are marked
+``slow``.
 """
 
 import json
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from cyclopair.bernoulli import (
     bernoulli_fast_row,
@@ -78,6 +81,7 @@ def test_acceptance_2_exceptional_irregular_indices():
     _verdict_line(2, "exceptional irregular indices", failures, time.time() - start)
 
 
+@pytest.mark.slow
 def test_acceptance_3_congruence_sweep_25000(sweep_25000, sweep_cache_dir):
     start = time.time()
     violations = congruence_sweep(25_000, sweep_25000)
@@ -100,6 +104,7 @@ def test_acceptance_3_congruence_sweep_25000(sweep_25000, sweep_cache_dir):
     _verdict_line(3, "congruence sweep p < 25,000 clean", failures, elapsed)
 
 
+@pytest.mark.slow
 def test_acceptance_4_r_at_most_3_below_1000(sweep_1000):
     start = time.time()
     failures = [(irr.p, irr.r) for irr in sweep_1000 if irr.r > 3]
@@ -111,6 +116,7 @@ def test_acceptance_4_r_at_most_3_below_1000(sweep_1000):
     _verdict_line(4, "r <= 3 for p < 1000", failures, elapsed)
 
 
+@pytest.mark.slow
 def test_acceptance_5_gk_verdicts(sweep_25000, sweep_1000):
     start = time.time()
     failures = []
@@ -165,6 +171,7 @@ def test_acceptance_6_packing_solvers():
     _verdict_line(6, "packing: exact = brute on 500 instances", failures, elapsed)
 
 
+@pytest.mark.slow
 def test_acceptance_7_greenberg_height_coupling(sweep_1000):
     start = time.time()
     failures = []

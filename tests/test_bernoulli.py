@@ -89,6 +89,11 @@ def test_voronoi_row_matches_per_k():
             assert bernoulli_voronoi(p, k) == row.values[k]
 
 
+def test_fast_matches_voronoi_p1009():
+    # long enough for the Kronecker product and several Newton doublings
+    assert bernoulli_fast_row(1009).values == bernoulli_voronoi_row(1009).values
+
+
 def test_fast_p101():
     assert bernoulli_fast_row(101).values[68] == 0
 
@@ -162,3 +167,21 @@ def test_sweep_cache_corruption_recovers(tmp_path, capsys):
     out = list(irregular_sweep(60, cache=cache))
     assert {irr.p: irr.indices for irr in out}[37] == (32,)
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_store_ignores_stale_fixed_temp_name(tmp_path, capsys):
+    # whatever sits at irregular.tmp (here a directory) must not block the
+    # write: each store goes through a temp file of its own
+    (tmp_path / "irregular.tmp").mkdir()
+    cache = IrregularCache(tmp_path)
+    cache.store({37: (32,), 41: ()})
+    assert "not writable" not in capsys.readouterr().err
+    assert cache.load() == {37: (32,), 41: ()}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["irregular.tmp", "irregular.tsv"]
+
+
+def test_cache_store_failure_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "irregular.tsv").mkdir()  # os.replace onto a directory fails
+    IrregularCache(tmp_path).store({37: (32,)})
+    assert "not writable" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["irregular.tsv"]

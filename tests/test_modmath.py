@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclopair.modmath import (
+    _KRONECKER_CUTOFF,
     _convolution_schoolbook,
     convolution_mod,
     factorize,
@@ -119,3 +120,16 @@ def test_convolution_matches_schoolbook_random():
 def test_convolution_matches_schoolbook_property(p, u, v):
     expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
     assert convolution_mod(u, v, p) == expected
+
+
+def test_convolution_two_word_slots():
+    # at p = 2^31 - 1 the slot bound needs more than 64 bits; the inputs are
+    # unreduced, negative and far above p
+    p = 2**31 - 1
+    rng = random.Random(31)
+    for nu, nv in ((_KRONECKER_CUTOFF + 1, _KRONECKER_CUTOFF + 1), (40, 75), (130, 33)):
+        u = [rng.randrange(-(2**80), 2**80) for _ in range(nu)]
+        v = [rng.choice((p - 1, -1, p * 7 + 3, rng.randrange(2**64))) for _ in range(nv)]
+        assert (min(nu, nv) * (p - 1) ** 2).bit_length() > 64
+        expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
+        assert convolution_mod(u, v, p) == expected

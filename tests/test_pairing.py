@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclopair.bernoulli import IrregularSet
 from cyclopair.pairing import (
+    EligibleSet,
     PairingFormatError,
     PairingTable,
     b_to_e,
@@ -180,6 +181,46 @@ def test_eligible_monotone_under_adding(idx):
     after = eligible_set(IRR_37, full)
     assert set(before.eligible) <= set(after.eligible)
     assert removed[0] in before.missing
+
+
+
+def _eligible_set_per_offset(irr, table):
+    # reference: look up every (i, k) of the conjunction, offset by offset
+    odd = range(1, irr.p - 1, 2)
+    if not irr.indices:
+        return EligibleSet(irr.p, tuple(odd), ())
+    entries = table.e_entries if table is not None else {}
+    eligible, missing = [], []
+    for i in odd:
+        vals = [entries.get((i, k)) for k in irr.indices]
+        if any(v is None for v in vals):
+            missing.append(i)
+        elif all(v != 0 for v in vals):
+            eligible.append(i)
+    return EligibleSet(irr.p, tuple(eligible), tuple(missing))
+
+
+def test_eligible_matches_per_offset_reference():
+    rng = random.Random(20261018)
+    cases = [IRR_37, IrregularSet(101, (68,)), IrregularSet(491, (292, 336, 338)),
+             IrregularSet(7069, (1478, 2570)), IRR_1217]
+    for irr in cases:
+        assert eligible_set(irr, None) == _eligible_set_per_offset(irr, None)
+        for _ in range(5):
+            full = synth_table(irr.p, irr, seed=rng.randrange(10**6)).e_entries
+            keys = sorted(full)
+            zeroed = set(rng.sample(keys, rng.randint(0, len(keys) // 4)))
+            dropped = set(rng.sample(keys, rng.randint(0, len(keys) // 4)))
+            entries = {key: 0 if key in zeroed else v
+                       for key, v in full.items() if key not in dropped}
+            table = PairingTable(irr.p, {}, entries)
+            assert eligible_set(irr, table) == _eligible_set_per_offset(irr, table)
+        # keys a parsed table never has: even, negative or too large offsets,
+        # and an index outside R
+        k = irr.indices[0]
+        stray = {(2, k): 0, (-1, k): 0, (irr.p, k): 0, (irr.p + 2, k): 5, (1, k + 1): 0}
+        table = PairingTable(irr.p, {}, {**full, **stray})
+        assert eligible_set(irr, table) == _eligible_set_per_offset(irr, table)
 
 
 def test_synth_table_examples():
