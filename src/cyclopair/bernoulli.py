@@ -6,13 +6,13 @@ Three independent routes to the same row B_2, B_4, ..., B_{p-3} mod p:
   out in Z/p.  O(p^2), the reference oracle.
 * ``voronoi`` -- the Voronoi congruence
   (t^k - 1) B_k / k == t^(k-1) * sum_j j^(k-1) floor(j*t/p)  (mod p).
-* ``fast``    -- only the even B_k are wanted, and
-  x/(e^x - 1) + x/2 = (x/2) coth(x/2) is even, so everything is a series in
-  y = x^2: Newton inversion of sinh(x/2)/(x/2) = sum_j y^j / (4^j (2j+1)!)
-  truncated mod y^((p-1)/2), then one product with
-  cosh(x/2) = sum_j y^j / (4^j (2j)!); coefficient k of the product times
-  (2k)! is B_2k.  Subquadratic thanks to the Kronecker convolution, fast
-  enough to sweep p < 25,000.
+* ``fast``    -- the same congruence for every k at once, with t = g a
+  primitive root (Buhler et al. 2001; Harvey 2010).  Pairing j with p-j and
+  writing j = g^a, a < n = (p-1)/2, with k-1 = 2m+1 and Bluestein's
+  2am = (a+m)^2 - a^2 - m^2, gives (g^k - 1) B_k / k == g^(k-1-m^2) C_m,
+  C_m = sum_a x_a z_(a+m), x_a = eps(a) g^(a-a^2), z_s = g^(s^2) and
+  eps(a) = 2 floor(g (g^a mod p) / p) - g + 1.  One Kronecker convolution
+  of reversed x with z gives every C_m, fast enough to sweep p < 25,000.
 
 For 2 <= k <= p-3 the von Staudt-Clausen denominators are prime to p, so
 every entry is a well-defined residue and every division below is legal.
@@ -22,7 +22,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .modmath import convolution_mod, mod_inv, require_odd_prime
+from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
 
 METHOD_NAIVE = "naive"
 METHOD_VORONOI = "voronoi"
@@ -135,42 +135,41 @@ def bernoulli_voronoi_row(p: int) -> BernoulliRow:
     return BernoulliRow(p, values, METHOD_VORONOI)
 
 
-def _series_inverse(u: list[int], n: int, p: int) -> list[int]:
-    # Newton iteration v <- v*(2 - u*v) mod x^(2m), doubling precision
-    v = [mod_inv(u[0], p)]
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        t = convolution_mod(u[:m2], v, p)[:m2]
-        t = [-c % p for c in t]
-        t[0] = (t[0] + 2) % p
-        v = convolution_mod(v, t, p)[:m2]
-        m = m2
-    return v
+def _square_powers(b: int, n: int, p: int) -> list[int]:
+    # b^(s^2) for s < n, stepping by b^((s+1)^2 - s^2) = b^(2s+1)
+    out, step, b2 = [1] * n, b, b * b % p
+    for s in range(1, n):
+        out[s], step = out[s - 1] * step % p, step * b2 % p
+    return out
 
 
 def bernoulli_fast_row(p: int) -> BernoulliRow:
-    """Same contents as the naive row via truncated power-series inversion."""
+    """Same contents as the naive row from one convolution (see module doc)."""
     if not _check_row_prime(p):
         return BernoulliRow(p, {}, METHOD_FAST)
-    top = p - 2  # largest factorial needed: (2j+1)! with 2j+1 <= p-2
-    fact = [1] * (top + 1)
-    for i in range(1, top + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * (top + 1)
-    inv_fact[top] = mod_inv(fact[top], p)
-    for i in range(top, 0, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-    n = (p - 1) // 2  # coefficients of y^0 .. y^((p-3)/2), y = x^2
-    inv4 = mod_inv(4, p)
-    inv4_pow = [1] * n
-    for j in range(1, n):
-        inv4_pow[j] = inv4_pow[j - 1] * inv4 % p
-    sinhc = [inv4_pow[j] * inv_fact[2 * j + 1] % p for j in range(n)]  # sinh(x/2)/(x/2)
-    cosh = [inv4_pow[j] * inv_fact[2 * j] % p for j in range(n)]  # cosh(x/2)
-    coth = convolution_mod(_series_inverse(sinhc, n, p), cosh, p)  # (x/2)coth(x/2)
-    values = {2 * k: coth[k] * fact[2 * k] % p for k in range(1, n)}
-    return BernoulliRow(p, values, METHOD_FAST)
+    g = primitive_root(p)
+    n = (p - 1) // 2
+    z = _square_powers(g, n, p)
+    z_inv = _square_powers(mod_inv(g, p), n, p)
+    x, ga = [0] * n, 1  # x_a = eps(a) g^(a - a^2); ga = g^a mod p
+    for a in range(n):
+        q, ga_next = divmod(g * ga, p)  # q = floor(g (g^a mod p) / p)
+        x[a], ga = (2 * q - g + 1) * ga * z_inv[a] % p, ga_next
+    # conv[i + 1] = P[i] for P = (reversed x) * z, and conv[0] = P[-1] = 0
+    conv = [0] + convolution_mod(x[::-1], z, p)
+    sign = -1 if n % 2 else 1  # z_(s+n) = (-1)^n z_s folds a + m >= n back
+    num, den, prefix = [0] * (n - 1), [0] * (n - 1), [0] * (n - 1)
+    gk, acc = g, 1  # g^(k-1) for k = 2m + 2; product of den[:m]
+    for m in range(n - 1):
+        num[m] = (2 * m + 2) * gk * z_inv[m] * (conv[n + m] + sign * conv[m]) % p
+        den[m] = (gk * g - 1) % p  # g^k - 1, nonzero as 0 < k < p - 1
+        prefix[m], acc = acc, acc * den[m] % p
+        gk = gk * g * g % p
+    inv = mod_inv(acc, p)  # one inverse for all den[m], unwound from the top
+    for m in range(n - 2, -1, -1):
+        num[m] = num[m] * inv * prefix[m] % p
+        inv = inv * den[m] % p
+    return BernoulliRow(p, {2 * m + 2: num[m] for m in range(n - 1)}, METHOD_FAST)
 
 
 _ROW_METHODS = {

@@ -2,8 +2,10 @@
 
 Format: a comment header recording the tool version, then one line per
 swept prime, ``p<TAB>k1,k2,...`` with ``-`` for an empty index list, sorted
-by p.  The cache is auditable and mergeable by hand; a corrupt file is
-reported and ignored, never trusted.
+by p.  The cache is auditable and mergeable by hand.  Nothing in it is
+trusted before it is validated: a file from another tool version, with a
+malformed entry or cut short by a truncated write is reported and ignored
+as a whole.
 """
 
 import contextlib
@@ -13,9 +15,11 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
+from .modmath import is_prime
 
 CACHE_FILENAME = "irregular.tsv"
-_HEADER = f"# cyclopair irregular-cache v1 tool={__version__}"
+_HEADER_PREFIX = "# cyclopair irregular-cache v1 "
+_HEADER = f"{_HEADER_PREFIX}tool={__version__}"
 
 
 class IrregularCache:
@@ -23,7 +27,7 @@ class IrregularCache:
         self.path = Path(directory) / CACHE_FILENAME
 
     def load(self) -> dict[int, tuple[int, ...]]:
-        """All cached entries, or {} (with a report) when unreadable/corrupt."""
+        """All cached entries, or {} (with a report) when unreadable or invalid."""
         try:
             text = self.path.read_text()
         except FileNotFoundError:
@@ -31,24 +35,35 @@ class IrregularCache:
         except OSError as exc:
             print(f"cyclopair: cache unreadable, recomputing: {exc}", file=sys.stderr)
             return {}
+        try:
+            return self._parse(text)
+        except ValueError as exc:
+            print(f"cyclopair: cache {exc}, recomputing", file=sys.stderr)
+            return {}
+
+    def _parse(self, text: str) -> dict[int, tuple[int, ...]]:
+        # raises ValueError naming the first reason to reject the whole file
+        *lines, tail = text.split("\n")
+        if tail:
+            raise ValueError(f"corrupt at {self.path}: last line cut short")
+        if not lines or not lines[0].startswith(_HEADER_PREFIX):
+            raise ValueError(f"corrupt at {self.path}:1: no cache header")
+        header = lines[0]
+        if header != _HEADER:
+            raise ValueError(f"at {self.path} is from another version "
+                             f"({header[len(_HEADER_PREFIX):]}, not tool={__version__})")
         entries: dict[int, tuple[int, ...]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                p_str, _, k_str = line.partition("\t")
-                p = int(p_str)
-                ks = () if k_str in ("-", "") else tuple(
-                    int(k) for k in k_str.split(",")
-                )
-            except ValueError:
-                print(
-                    f"cyclopair: cache corrupt at {self.path}:{lineno}, recomputing",
-                    file=sys.stderr,
-                )
-                return {}
-            entries[p] = tuple(sorted(ks))
+                p, ks = _parse_entry(line)
+            except ValueError as exc:
+                raise ValueError(f"corrupt at {self.path}:{lineno}: {exc}") from None
+            if p in entries:
+                raise ValueError(f"corrupt at {self.path}:{lineno}: p = {p} listed twice")
+            entries[p] = ks
         return entries
 
     def store(self, entries: dict[int, tuple[int, ...]]) -> None:
@@ -74,3 +89,16 @@ class IrregularCache:
         except OSError as exc:
             print(f"cyclopair: cache not writable, continuing uncached: {exc}",
                   file=sys.stderr)
+
+
+def _parse_entry(line: str) -> tuple[int, tuple[int, ...]]:
+    p_str, tab, k_str = line.partition("\t")
+    if not tab:
+        raise ValueError("no tab after p")
+    p = int(p_str)
+    if p < 7 or not is_prime(p):
+        raise ValueError(f"{p} is not a prime >= 7")
+    ks = () if k_str == "-" else tuple(int(k) for k in k_str.split(","))
+    if list(ks) != sorted(set(ks)) or any(k % 2 or not 2 <= k <= p - 3 for k in ks):
+        raise ValueError(f"indices are not sorted, distinct and even in [2, {p - 3}]")
+    return p, ks

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cyclopair import __version__
 from cyclopair.bernoulli import (
     IrregularSet,
     bernoulli_fast_row,
@@ -14,7 +16,10 @@ from cyclopair.bernoulli import (
     kummer_pairs,
 )
 from cyclopair.cache import IrregularCache
-from cyclopair.modmath import mod_inv
+from cyclopair.modmath import is_prime, mod_inv, primitive_root
+
+REFERENCE_25000 = (
+    Path(__file__).resolve().parent.parent / "bench" / "reference" / "irregular-25000.tsv")
 
 # exact small Bernoulli numbers, for the rationality spot checks
 EXACT = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30)}
@@ -90,8 +95,26 @@ def test_voronoi_row_matches_per_k():
 
 
 def test_fast_matches_voronoi_p1009():
-    # long enough for the Kronecker product and several Newton doublings
+    # n = 504 is far past the Kronecker cutoff, and n even takes the cyclic fold
     assert bernoulli_fast_row(1009).values == bernoulli_voronoi_row(1009).values
+
+
+def test_fast_matches_voronoi_200_to_500():
+    # both folds (p == 1 and 3 mod 4) and the large primitive roots
+    # 311 (g = 17), 409 (21), 439 (15), 457 and 479 (13)
+    primes = [p for p in range(201, 500, 2) if is_prime(p)]
+    assert {p % 4 for p in primes} == {1, 3}
+    assert [primitive_root(p) for p in (311, 409, 439, 457, 479)] == [17, 21, 15, 13, 13]
+    for p in primes:
+        assert bernoulli_fast_row(p).values == bernoulli_voronoi_row(p).values, p
+
+
+def test_fast_matches_voronoi_p5881():
+    # g = 31, the largest primitive root of any p < 25,000
+    assert primitive_root(5881) == 31
+    row = bernoulli_fast_row(5881)
+    for k in (2, 4, 1000, 2940, 4402, 5878):
+        assert row.values[k] == bernoulli_voronoi(5881, k), k
 
 
 def test_fast_p101():
@@ -185,3 +208,58 @@ def test_cache_store_failure_leaves_no_temp_file(tmp_path, capsys):
     IrregularCache(tmp_path).store({37: (32,)})
     assert "not writable" in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == ["irregular.tsv"]
+
+
+@pytest.mark.slow
+def test_sweep_25000_matches_reference(sweep_25000):
+    # every prime of the session sweep, entry for entry, against the
+    # committed benchmark reference (read only, no extra compute)
+    reference = {}
+    for line in REFERENCE_25000.read_text().splitlines():
+        p, _, ks = line.partition("\t")
+        reference[int(p)] = () if ks == "-" else tuple(map(int, ks.split(",")))
+    assert len(reference) == 2759
+    assert {irr.p: irr.indices for irr in sweep_25000} == reference
+
+
+CACHE_HEADER = f"# cyclopair irregular-cache v1 tool={__version__}\n"
+
+
+def test_cache_load_accepts_valid_file(tmp_path, capsys):
+    cache = IrregularCache(tmp_path)
+    cache.path.write_text(CACHE_HEADER + "7\t-\n# hand note\n\n37\t32\n157\t62,110\n")
+    assert cache.load() == {7: (), 37: (32,), 157: (62, 110)}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("# cyclopair irregular-cache v1 tool=0.0.9\n37\t32\n", "another version"),
+    ("37\t32\n", "no cache header"),
+    (CACHE_HEADER + "39\t-\n", "39 is not a prime >= 7"),
+    (CACHE_HEADER + "5\t-\n", "5 is not a prime >= 7"),
+    (CACHE_HEADER + "37\n", "no tab after p"),
+    (CACHE_HEADER + "157\t110,62\n", "not sorted, distinct and even"),
+    (CACHE_HEADER + "157\t62,62\n", "not sorted, distinct and even"),
+    (CACHE_HEADER + "37\t31\n", "not sorted, distinct and even"),
+    (CACHE_HEADER + "37\t0\n", "not sorted, distinct and even"),
+    (CACHE_HEADER + "37\t36\n", "not sorted, distinct and even"),
+    (CACHE_HEADER + "37\t32\n37\t-\n", "listed twice"),
+    (CACHE_HEADER + "37\t32\n41\t-", "cut short"),
+    ("", "no cache header"),
+])
+def test_cache_load_rejects_whole_file(tmp_path, capsys, text, reason):
+    cache = IrregularCache(tmp_path)
+    cache.path.write_text(text)
+    assert cache.load() == {}
+    err = capsys.readouterr().err
+    assert reason in err and "recomputing" in err
+
+
+def test_sweep_rejects_whole_cache_on_one_bad_entry(tmp_path, capsys):
+    # the odd k at 41 discards the file, the plausible but wrong 37 included
+    cache = IrregularCache(tmp_path)
+    cache.path.write_text(CACHE_HEADER + "37\t-\n41\t3\n")
+    out = {irr.p: irr.indices for irr in irregular_sweep(60, cache=cache)}
+    assert out[37] == (32,)
+    assert "corrupt" in capsys.readouterr().err
+    assert cache.load()[37] == (32,)
