@@ -19,7 +19,6 @@ from .criteria import (
     gk_verdict,
     greenberg_verdict,
     height_lower_bound,
-    remark_ranges_check,
 )
 from .eigenstructure import CongruenceCheckResult, check_congruences, congruence_sweep
 from .packing import (
@@ -36,7 +35,7 @@ from .pairing import (
     PairingTable,
     b_to_e,
     eligible_set,
-    parse_pairing_table,
+    parse_pairing_file,
     serialize_pairing_table,
     synth_b_table,
     synth_table,

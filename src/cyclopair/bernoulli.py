@@ -20,7 +20,7 @@ every entry is a well-defined residue and every division below is legal.
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
 
@@ -239,13 +239,3 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
             cache.store(known)
     return iter(IrregularSet(p, known[p]) for p in primes)
 
-
-def kummer_pairs(row: BernoulliRow, shift: int = 1) -> Iterable[tuple[int, int, int]]:
-    """Cross-check data for the Kummer congruence B_k/k == B_k'/k' mod p
-    with k' = k + shift*(p-1); yields (k, lhs, rhs)."""
-    p = row.p
-    for k in sorted(row.values):
-        k2 = k + shift * (p - 1)
-        lhs = row.values[k] * mod_inv(k, p) % p
-        rhs = _voronoi_value(p, k2) * mod_inv(k2, p) % p
-        yield k, lhs, rhs

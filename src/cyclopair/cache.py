@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .modmath import is_prime
@@ -52,19 +53,7 @@ class IrregularCache:
         if header != _HEADER:
             raise ValueError(f"at {self.path} is from another version "
                              f"({header[len(_HEADER_PREFIX):]}, not tool={__version__})")
-        entries: dict[int, tuple[int, ...]] = {}
-        for lineno, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                p, ks = _parse_entry(line)
-            except ValueError as exc:
-                raise ValueError(f"corrupt at {self.path}:{lineno}: {exc}") from None
-            if p in entries:
-                raise ValueError(f"corrupt at {self.path}:{lineno}: p = {p} listed twice")
-            entries[p] = ks
-        return entries
+        return read_entries(lines[1:], f"corrupt at {self.path}", first_lineno=2)
 
     def store(self, entries: dict[int, tuple[int, ...]]) -> None:
         """Atomically rewrite the cache; on failure warn and continue."""
@@ -89,6 +78,29 @@ class IrregularCache:
         except OSError as exc:
             print(f"cyclopair: cache not writable, continuing uncached: {exc}",
                   file=sys.stderr)
+
+
+def read_entries(
+    lines: Iterable[str], where: str, first_lineno: int = 1
+) -> dict[int, tuple[int, ...]]:
+    """Validated ``p<TAB>k1,k2,...`` entries, in file order.
+
+    Blank and ``#`` lines are skipped.  Raises ValueError naming
+    ``where:lineno`` at the first malformed entry or repeated p.
+    """
+    entries: dict[int, tuple[int, ...]] = {}
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            p, ks = _parse_entry(line)
+            if p in entries:
+                raise ValueError(f"p = {p} listed twice")
+        except ValueError as exc:
+            raise ValueError(f"{where}:{lineno}: {exc}") from None
+        entries[p] = ks
+    return entries
 
 
 def _parse_entry(line: str) -> tuple[int, tuple[int, ...]]:

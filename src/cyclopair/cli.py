@@ -21,11 +21,11 @@ from .bernoulli import (
     irregular_indices,
     irregular_sweep,
 )
-from .cache import IrregularCache
+from .cache import IrregularCache, read_entries
 from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 from .eigenstructure import congruence_sweep
 from .modmath import require_odd_prime
-from .pairing import PairingFormatError, parse_pairing_file, parse_pairing_table
+from .pairing import PairingFormatError, parse_pairing_file
 from .report import build_report, table_digest
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
@@ -97,25 +97,10 @@ def _cmd_irregular(args) -> int:
     return 0
 
 
-def _parse_source_file(raw: bytes) -> list[IrregularSet]:
-    sets = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            p_str, _, k_str = line.partition("\t")
-            p = int(p_str)
-            ks = () if k_str in ("", "-") else tuple(int(k) for k in k_str.split(","))
-        except ValueError:
-            raise ValueError(f"source line {lineno}: expected 'p<TAB>k1,k2,...'")
-        sets.append(IrregularSet(p, ks))
-    return sets
-
-
 def _cmd_congruence_sweep(args) -> int:
     if args.source:
-        source = _parse_source_file(_read_input(args.source))
+        lines = _read_input(args.source).decode("utf-8").splitlines()
+        source = [IrregularSet(p, ks) for p, ks in read_entries(lines, args.source).items()]
     else:
         source = irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
     for cc in congruence_sweep(args.max_p, source):
@@ -126,30 +111,29 @@ def _cmd_congruence_sweep(args) -> int:
     return 0
 
 
+def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
+    """One report per set from irregular_sets() against the --pairing table.
+
+    The table is read first, so a bad path fails before a long sweep.
+    """
+    raw = _read_input(args.pairing)
+    digest = table_digest(raw)
+    sets = list(irregular_sets())
+    tables = parse_pairing_file(raw, {irr.p: irr for irr in sets})
+    for irr in sets:
+        report = build_report(irr, tables.get(irr.p), _resolve_flags(irr.p, args), digest)
+        sys.stdout.write(report.to_json() + "\n" if fmt == "json" else report.to_tsv())
+    return 0
+
+
 def _cmd_criteria(args) -> int:
     p = require_odd_prime(args.p)
-    irr = irregular_indices(p)
-    raw = _read_input(args.pairing)
-    table = parse_pairing_table(raw, irr)
-    flags = _resolve_flags(p, args)
-    report = build_report(irr, table, flags, table_digest(raw))
-    if args.format == "json":
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        sys.stdout.write(report.to_tsv())
-    return 0
+    return _write_reports(args, lambda: [irregular_indices(p)], args.format)
 
 
 def _cmd_report(args) -> int:
-    raw = _read_input(args.pairing)
-    digest = table_digest(raw)
-    sweep = list(irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args)))
-    tables = parse_pairing_file(raw, {irr.p: irr for irr in sweep})
-    for irr in sweep:
-        flags = _resolve_flags(irr.p, args)
-        report = build_report(irr, tables.get(irr.p), flags, digest)
-        sys.stdout.write(report.to_json() + "\n")
-    return 0
+    return _write_reports(args, lambda: irregular_sweep(
+        args.max_p, jobs=args.jobs, cache=_cache_from(args)))
 
 
 def _add_flag_options(parser: argparse.ArgumentParser) -> None:
@@ -191,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--cache", default=None)
     q.add_argument("--source", default=None,
-                   help="read irregular sets from a TSV file instead of computing")
+                   help="read irregular sets (p<TAB>k1,k2,... lines, as irregular "
+                        "prints them) from a file instead of computing")
     q.set_defaults(fn=_cmd_congruence_sweep)
 
     q = sub.add_parser("criteria", help="single-prime verdict report")
-    q.add_argument("which", choices=["greenberg", "height", "gk"])
     q.add_argument("p", type=int)
     q.add_argument("--pairing", required=True, help="pairing TSV file, - for stdin")
     q.add_argument("--format", default="json", choices=["json", "tsv"])
@@ -205,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("report", help="full per-prime report stream")
     q.add_argument("--max-p", type=int, required=True, dest="max_p")
     q.add_argument("--pairing", required=True, help="pairing TSV file, - for stdin")
-    q.add_argument("--format", default="json", choices=["json"])
     q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--cache", default=None)
     _add_flag_options(q)
@@ -217,7 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): not a usage error.  Point
+        # stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PairingFormatError, ValueError, OSError) as exc:
         print(f"cyclopair: error: {exc}", file=sys.stderr)
         return 2

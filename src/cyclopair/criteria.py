@@ -18,12 +18,11 @@ records the hypothesis flags it leaned on.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .bernoulli import IrregularSet
 from .eigenstructure import CongruenceCheckResult
 from .packing import PackingInstance, max_disjoint_translates_exact
-from .pairing import EligibleSet, PairingTable
+from .pairing import EligibleSet, PairingTable, b_to_e
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -190,7 +189,7 @@ def _pair_data(
     b-table (needs surjectivity), or ("missing", None).
     """
     b = table.b_entries.get((k, kp))
-    e = table.e_entries.get((irr.p - k, kp))
+    e = table.e_entries.get(b_to_e(irr, k, kp))
     if b == 0 or e == 0:
         return "zero", 0
     if e is not None:
@@ -270,33 +269,3 @@ def gk_verdict(
         flags,
     )
 
-
-# ranges of (p-1)/2 - s observed for p < 1000, keyed by r
-_REMARK_GAP_RANGES = {1: (2, 6), 2: (6, 8), 3: (9, 12)}
-
-
-def remark_ranges_check(
-    rows: Iterable[tuple[int, int, int | None]],
-) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Check (r, (p-1)/2 - s) against the observed ranges for p < 1000.
-
-    rows yields (p, r, s) with s None when pairing data was incomplete;
-    such entries are skipped and reported, never counted as violations.
-    Returns (violations, skipped) with violations as (p, r, gap).
-    """
-    violations: list[tuple[int, int, int]] = []
-    skipped: list[int] = []
-    for p, r, s in rows:
-        if r == 0:
-            continue
-        if s is None:
-            skipped.append(p)
-            continue
-        gap = (p - 1) // 2 - s
-        if r > 3:
-            violations.append((p, r, gap))
-            continue
-        lo, hi = _REMARK_GAP_RANGES[r]
-        if not lo <= gap <= hi:
-            violations.append((p, r, gap))
-    return violations, skipped

@@ -62,13 +62,6 @@ def mod_inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def pow_mod(a: int, e: int, p: int) -> int:
-    """a**e mod p for e >= 0; e == 0 gives 1."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(a % p, e, p)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine for n < 2^31."""
     if n < 1:

@@ -32,7 +32,6 @@ class PairingTable:
     p: int
     b_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
     e_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ def _build_table(
     p: int,
     rows: Iterable[tuple[int, str, int, int, int]],
     expected_R: IrregularSet,
-    provenance: str,
 ) -> PairingTable:
     R = set(expected_R.indices)
     b_entries: dict[tuple[int, int], int] = {}
@@ -97,22 +95,13 @@ def _build_table(
                 raise PairingFormatError(f"line {lineno}: duplicate E key ({i},{k})")
             e_entries[(i, k)] = value
     for (k, kp), bv in b_entries.items():
-        ev = e_entries.get((p - k, kp))
+        i, _ = b_to_e(expected_R, k, kp)
+        ev = e_entries.get((i, kp))
         if ev is not None and (bv == 0) != (ev == 0):
             raise PairingFormatError(
-                f"b({k},{kp}) and e({p - k},{kp}) disagree on zeroness for p={p}"
+                f"b({k},{kp}) and e({i},{kp}) disagree on zeroness for p={p}"
             )
-    return PairingTable(p, b_entries, e_entries, provenance)
-
-
-def parse_pairing_table(text, expected_R: IrregularSet, provenance: str = "") -> PairingTable:
-    """Parse the rows for expected_R.p out of a (possibly multi-prime) table."""
-    rows = (
-        (lineno, kind, a, b, value)
-        for lineno, p, kind, a, b, value in _rows_with_prime(text)
-        if p == expected_R.p
-    )
-    return _build_table(expected_R.p, rows, expected_R, provenance)
+    return PairingTable(p, b_entries, e_entries)
 
 
 def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
@@ -138,19 +127,19 @@ def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
 
 
 def parse_pairing_file(
-    text, R_by_p: Mapping[int, IrregularSet], provenance: str = ""
+    text, R_by_p: Mapping[int, IrregularSet]
 ) -> dict[int, PairingTable]:
     """Split a multi-prime table into per-prime tables.
 
     Rows for primes absent from R_by_p are ignored (they belong to a range
-    the caller is not sweeping).
+    the caller is not sweeping); a prime without rows gets no table.
     """
     grouped: dict[int, list] = {}
     for lineno, p, kind, a, b, value in _rows_with_prime(text):
         if p in R_by_p:
             grouped.setdefault(p, []).append((lineno, kind, a, b, value))
     return {
-        p: _build_table(p, rows, R_by_p[p], provenance)
+        p: _build_table(p, rows, R_by_p[p])
         for p, rows in grouped.items()
     }
 
@@ -223,7 +212,7 @@ def synth_table(
     for i in range(1, p - 1, 2):
         for k in R.indices:
             e_entries[(i, k)] = 0 if (i, k) in zeros else rng.randrange(1, p)
-    return PairingTable(p, {}, e_entries, provenance=f"synthetic(seed={seed})")
+    return PairingTable(p, {}, e_entries)
 
 
 def synth_b_table(
@@ -245,4 +234,4 @@ def synth_b_table(
     b_entries = {
         pair: 0 if pair in zeros else rng.randrange(1, p) for pair in pairs
     }
-    return PairingTable(p, b_entries, {}, provenance=f"synthetic(seed={seed})")
+    return PairingTable(p, b_entries, {})

@@ -82,26 +82,23 @@ class Report:
 
     def to_tsv(self) -> str:
         """Flat key<TAB>value projection of the same content."""
-        obj = self.to_obj()
-        flat: list[tuple[str, object]] = []
+        return "".join(f"{key}\t{value}\n" for key, value in _flatten("", self.to_obj()))
 
-        def walk(prefix: str, value) -> None:
-            if isinstance(value, dict):
-                for key, sub in value.items():
-                    walk(f"{prefix}.{key}" if prefix else key, sub)
-            elif isinstance(value, list):
-                flat.append((prefix, ",".join(json.dumps(v, separators=(",", ":"))
-                                              if isinstance(v, list) else str(v)
-                                              for v in value) or "-"))
-            elif value is None:
-                flat.append((prefix, "-"))
-            elif isinstance(value, bool):
-                flat.append((prefix, "true" if value else "false"))
-            else:
-                flat.append((prefix, value))
 
-        walk("", obj)
-        return "".join(f"{key}\t{value}\n" for key, value in flat)
+def _flatten(prefix: str, value):
+    """(dotted key, TSV cell) pairs of a to_obj() value, depth first."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _flatten(f"{prefix}.{key}" if prefix else key, sub)
+    elif isinstance(value, list):
+        yield prefix, ",".join(json.dumps(v, separators=(",", ":"))
+                               if isinstance(v, list) else str(v) for v in value) or "-"
+    elif value is None:
+        yield prefix, "-"
+    elif isinstance(value, bool):
+        yield prefix, "true" if value else "false"
+    else:
+        yield prefix, value
 
 
 def build_report(

@@ -31,7 +31,7 @@ from cyclopair.packing import (
     max_disjoint_translates_greedy,
     translates_disjoint,
 )
-from cyclopair.pairing import eligible_set, parse_pairing_table, synth_b_table, synth_table
+from cyclopair.pairing import eligible_set, parse_pairing_file, synth_b_table, synth_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -124,7 +124,7 @@ def test_acceptance_5_gk_verdicts(sweep_25000, sweep_1000):
     fixture_text = (FIXTURES / "exceptional.tsv").read_bytes()
     for p, ((k, kp), _) in EXCEPTIONAL.items():
         irr = by_p[p]
-        table = parse_pairing_table(fixture_text, irr)
+        table = parse_pairing_file(fixture_text, {p: irr})[p]
         if table.b_entries.get((k, kp)) != 0:
             failures.append(("fixture zero missing", p))
         verdict = gk_verdict(irr, check_congruences(irr), table,

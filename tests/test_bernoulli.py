@@ -5,7 +5,9 @@ import pytest
 
 from cyclopair import __version__
 from cyclopair.bernoulli import (
+    BernoulliRow,
     IrregularSet,
+    _voronoi_value,
     bernoulli_fast_row,
     bernoulli_naive_row,
     bernoulli_row,
@@ -13,7 +15,6 @@ from cyclopair.bernoulli import (
     bernoulli_voronoi_row,
     irregular_indices,
     irregular_sweep,
-    kummer_pairs,
 )
 from cyclopair.cache import IrregularCache
 from cyclopair.modmath import is_prime, mod_inv, primitive_root
@@ -131,6 +132,17 @@ def test_bernoulli_row_dispatch():
     assert bernoulli_row(7, "naive").values == bernoulli_row(7, "fast").values
     with pytest.raises(ValueError):
         bernoulli_row(7, "magic")
+
+
+def kummer_pairs(row: BernoulliRow, shift: int = 1):
+    """Cross-check data for the Kummer congruence B_k/k == B_k'/k' mod p
+    with k' = k + shift*(p-1); yields (k, lhs, rhs)."""
+    p = row.p
+    for k in sorted(row.values):
+        k2 = k + shift * (p - 1)
+        lhs = row.values[k] * mod_inv(k, p) % p
+        rhs = _voronoi_value(p, k2) * mod_inv(k2, p) % p
+        yield k, lhs, rhs
 
 
 def test_kummer_congruence_smoke():

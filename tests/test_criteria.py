@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
@@ -17,7 +18,6 @@ from cyclopair.criteria import (
     gk_verdict,
     greenberg_verdict,
     height_lower_bound,
-    remark_ranges_check,
 )
 from cyclopair.eigenstructure import check_congruences
 from cyclopair.pairing import EligibleSet, PairingTable, eligible_set, synth_b_table, synth_table
@@ -247,6 +247,37 @@ def test_verdicts_are_pure():
 
 
 # --- remark ranges ---
+
+# ranges of (p-1)/2 - s observed for p < 1000, keyed by r
+_REMARK_GAP_RANGES = {1: (2, 6), 2: (6, 8), 3: (9, 12)}
+
+
+def remark_ranges_check(
+    rows: Iterable[tuple[int, int, int | None]],
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Check (r, (p-1)/2 - s) against the observed ranges for p < 1000.
+
+    rows yields (p, r, s) with s None when pairing data was incomplete;
+    such entries are skipped and reported, never counted as violations.
+    Returns (violations, skipped) with violations as (p, r, gap).
+    """
+    violations: list[tuple[int, int, int]] = []
+    skipped: list[int] = []
+    for p, r, s in rows:
+        if r == 0:
+            continue
+        if s is None:
+            skipped.append(p)
+            continue
+        gap = (p - 1) // 2 - s
+        if r > 3:
+            violations.append((p, r, gap))
+            continue
+        lo, hi = _REMARK_GAP_RANGES[r]
+        if not lo <= gap <= hi:
+            violations.append((p, r, gap))
+    return violations, skipped
+
 
 def test_remark_ranges():
     violations, skipped = remark_ranges_check([

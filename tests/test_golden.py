@@ -27,8 +27,8 @@ CASES = {
     "bern-9829": ("bern", "9829"),
     "bern-1217-k784": ("bern", "1217", "--k", "784"),
     "irregular-2000": ("irregular", "--max-p", "2000"),
-    "criteria-gk-1217-json": ("criteria", "gk", "1217", "--pairing", PAIRING),
-    "criteria-gk-1217-tsv": ("criteria", "gk", "1217", "--pairing", PAIRING, "--format", "tsv"),
+    "criteria-gk-1217-json": ("criteria", "1217", "--pairing", PAIRING),
+    "criteria-gk-1217-tsv": ("criteria", "1217", "--pairing", PAIRING, "--format", "tsv"),
     "report-2000": ("report", "--max-p", "2000", "--pairing", PAIRING),
 }
 

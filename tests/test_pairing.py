@@ -11,7 +11,6 @@ from cyclopair.pairing import (
     b_to_e,
     eligible_set,
     parse_pairing_file,
-    parse_pairing_table,
     serialize_pairing_table,
     synth_b_table,
     synth_table,
@@ -21,63 +20,67 @@ IRR_1217 = IrregularSet(1217, (784, 866, 1118))
 IRR_37 = IrregularSet(37, (32,))
 
 
+def parse_one(text, irr):
+    return parse_pairing_file(text, {irr.p: irr})[irr.p]
+
+
 def test_parse_b_row():
-    table = parse_pairing_table("B\t1217\t784\t866\t0\n", IRR_1217)
+    table = parse_one("B\t1217\t784\t866\t0\n", IRR_1217)
     assert table.b_entries == {(784, 866): 0}
     assert table.e_entries == {}
 
 
 def test_parse_empty():
-    table = parse_pairing_table("", IRR_37)
-    assert table.b_entries == {} and table.e_entries == {}
+    # no rows for the prime: no table, which every consumer reads as empty
+    assert parse_pairing_file("", {37: IRR_37}) == {}
 
 
 def test_parse_e_row():
-    table = parse_pairing_table("E\t37\t7\t32\t5\n", IRR_37)
+    table = parse_one("E\t37\t7\t32\t5\n", IRR_37)
     assert table.e_entries == {(7, 32): 5}
 
 
 def test_parse_skips_comments_and_other_primes():
     text = "# header\nB\t1217\t784\t866\t0\nE\t37\t7\t32\t5\n"
-    table = parse_pairing_table(text, IRR_37)
+    table = parse_one(text, IRR_37)
     assert table.e_entries == {(7, 32): 5}
     assert table.b_entries == {}
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(PairingFormatError, match="line 2"):
-        parse_pairing_table("# ok\nB\t37\t32\n", IRR_37)
+        parse_one("# ok\nB\t37\t32\n", IRR_37)
     with pytest.raises(PairingFormatError, match="line 1"):
-        parse_pairing_table("X\t37\t7\t32\t5\n", IRR_37)
+        parse_one("X\t37\t7\t32\t5\n", IRR_37)
     with pytest.raises(PairingFormatError, match="line 1"):
-        parse_pairing_table("E\t37\tseven\t32\t5\n", IRR_37)
+        parse_one("E\t37\tseven\t32\t5\n", IRR_37)
 
 
 def test_parse_rejects_key_outside_r():
     with pytest.raises(PairingFormatError, match="30 is not irregular"):
-        parse_pairing_table("E\t37\t7\t30\t5\n", IRR_37)
+        parse_one("E\t37\t7\t30\t5\n", IRR_37)
     with pytest.raises(PairingFormatError, match="not irregular"):
-        parse_pairing_table("B\t1217\t784\t868\t1\n", IRR_1217)
+        parse_one("B\t1217\t784\t868\t1\n", IRR_1217)
 
 
 def test_parse_rejects_bad_values_and_keys():
     with pytest.raises(PairingFormatError, match="out of range"):
-        parse_pairing_table("E\t37\t7\t32\t37\n", IRR_37)
+        parse_one("E\t37\t7\t32\t37\n", IRR_37)
     with pytest.raises(PairingFormatError, match="odd"):
-        parse_pairing_table("E\t37\t8\t32\t5\n", IRR_37)
+        parse_one("E\t37\t8\t32\t5\n", IRR_37)
     with pytest.raises(PairingFormatError, match="k < k'"):
-        parse_pairing_table("B\t1217\t866\t784\t1\n", IRR_1217)
+        parse_one("B\t1217\t866\t784\t1\n", IRR_1217)
     with pytest.raises(PairingFormatError, match="duplicate"):
-        parse_pairing_table("E\t37\t7\t32\t5\nE\t37\t7\t32\t5\n", IRR_37)
+        parse_one("E\t37\t7\t32\t5\nE\t37\t7\t32\t5\n", IRR_37)
 
 
 def test_parse_rejects_b_e_zeroness_mismatch():
     # b(784, 866) and e(433, 866) carry the same datum
     text = "B\t1217\t784\t866\t0\nE\t1217\t433\t866\t9\n"
     with pytest.raises(PairingFormatError, match="disagree"):
-        parse_pairing_table(text, IRR_1217)
+        parse_one(text, IRR_1217)
     ok = "B\t1217\t784\t866\t5\nE\t1217\t433\t866\t9\n"
-    table = parse_pairing_table(ok, IRR_1217)
+    table = parse_one(ok, IRR_1217)
     assert table.b_entries[(784, 866)] == 5
 
 
@@ -90,9 +93,9 @@ def test_roundtrip_canonical():
         lines = text.splitlines()
         rng.shuffle(lines)
         noisy = "# noise\n" + "\n".join(lines) + "\n"
-        reparsed = parse_pairing_table(noisy, IRR_37)
+        reparsed = parse_one(noisy, IRR_37)
         assert serialize_pairing_table(reparsed) == text
-        again = parse_pairing_table(text, IRR_37)
+        again = parse_one(text, IRR_37)
         assert serialize_pairing_table(again) == text
 
 
