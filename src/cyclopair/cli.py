@@ -2,7 +2,9 @@
 
 Subcommands: bern, irregular, congruence-sweep, criteria, report.  Output is
 deterministic: byte-identical across runs and across --jobs settings.  Exit
-codes: 0 success, 1 internal error, 2 usage or data error.
+codes: 0 success, 1 internal error, 2 usage or data error.  Only errors
+raised where input is validated map to 2 (InputError, PairingFormatError,
+OSError); any other exception is a bug and prints its traceback.
 """
 
 import argparse
@@ -34,9 +36,31 @@ CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 CROSS_CHECK_BOUND = 200
 
 
+class InputError(ValueError):
+    """A command-line value or input line the CLI rejects (exit 2)."""
+
+
+def _prime_arg(p: int) -> int:
+    """The positional p: an odd prime with even indices in [2, p-3]."""
+    try:
+        require_odd_prime(p)
+    except ValueError as exc:  # not prime, or beyond the primality test
+        raise InputError(str(exc)) from None
+    if p == 3:
+        raise InputError("p = 3 has no even indices in [2, p-3]")
+    return p
+
+
 def _cache_from(args) -> IrregularCache | None:
     directory = args.cache or os.environ.get(CACHE_ENV_VAR)
     return IrregularCache(directory) if directory else None
+
+
+def _sweep(args):
+    """The irregular sweep below --max-p with the --jobs and cache options."""
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    return irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
 
 
 def _read_input(path: str) -> bytes:
@@ -67,15 +91,17 @@ def _cross_checked_row(p: int, method: str):
 
 
 def _cmd_bern(args) -> int:
-    p = require_odd_prime(args.p)
+    p = _prime_arg(args.p)
     if args.k is not None:
         k = args.k
+        if k % 2 or not 2 <= k <= p - 3:
+            raise InputError(f"k must be even with 2 <= k <= p-3, got k={k}")
         if args.method == METHOD_VORONOI:
             value = bernoulli_voronoi(p, k)
         else:
             row = _cross_checked_row(p, args.method)
-            if k not in row.values:
-                raise ValueError(f"k must be even with 2 <= k <= p-3, got k={k}")
+            if k not in row.values:  # the rows start at p = 7
+                raise InputError(f"no row entries for p = {p}")
             value = row.values[k]
         sys.stdout.write(f"{k}\t{value}\n")
         return 0
@@ -90,8 +116,7 @@ def _format_irregular(irr: IrregularSet) -> str:
 
 
 def _cmd_irregular(args) -> int:
-    cache = _cache_from(args)
-    for irr in irregular_sweep(args.max_p, jobs=args.jobs, cache=cache):
+    for irr in _sweep(args):
         if irr.indices:
             sys.stdout.write(_format_irregular(irr))
     return 0
@@ -99,10 +124,14 @@ def _cmd_irregular(args) -> int:
 
 def _cmd_congruence_sweep(args) -> int:
     if args.source:
-        lines = _read_input(args.source).decode("utf-8").splitlines()
-        source = [IrregularSet(p, ks) for p, ks in read_entries(lines, args.source).items()]
+        raw = _read_input(args.source)
+        try:
+            entries = read_entries(raw.decode("utf-8").splitlines(), args.source)
+        except ValueError as exc:  # a bad line, or bytes that are not UTF-8
+            raise InputError(str(exc)) from None
+        source = [IrregularSet(p, ks) for p, ks in entries.items()]
     else:
-        source = irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
+        source = _sweep(args)
     for cc in congruence_sweep(args.max_p, source):
         for k, kp in cc.sum_two_violations:
             sys.stdout.write(f"{cc.p}\tsum2\t{k}\t{kp}\n")
@@ -127,13 +156,12 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
 
 
 def _cmd_criteria(args) -> int:
-    p = require_odd_prime(args.p)
+    p = _prime_arg(args.p)
     return _write_reports(args, lambda: [irregular_indices(p)], args.format)
 
 
 def _cmd_report(args) -> int:
-    return _write_reports(args, lambda: irregular_sweep(
-        args.max_p, jobs=args.jobs, cache=_cache_from(args)))
+    return _write_reports(args, lambda: _sweep(args))
 
 
 def _add_flag_options(parser: argparse.ArgumentParser) -> None:
@@ -208,7 +236,7 @@ def main(argv=None) -> int:
         # stdout at devnull so the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (PairingFormatError, ValueError, OSError) as exc:
+    except (InputError, PairingFormatError, OSError) as exc:
         print(f"cyclopair: error: {exc}", file=sys.stderr)
         return 2
     except Exception:

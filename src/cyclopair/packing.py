@@ -4,14 +4,37 @@ Two translates i + R and i' + R intersect exactly when i - i' lands in the
 difference set D = R - R, so the packing problem is a maximum independent
 set on the conflict graph over the candidate offsets.  The exact solver is
 a branch and bound over bitmasks: degree-0/1 vertices are taken outright,
-connected components are solved separately, branching picks a maximum-degree
-vertex, and subtrees die against a greedy clique-cover bound.  The ascending
-greedy solution seeds the incumbent.
+connected components are solved separately, branching picks the first
+vertex of maximum degree, and subtrees die against a greedy clique-cover
+bound.  The ascending greedy solution seeds the incumbent.
+
+Orbit rule.  A conflict depends only on i - i', so a translation t with
+I + t = I maps packings to packings of the same size.  Let g be the period
+of I, the least divisor of m with I + g = I, and v_1 < ... < v_k the
+offsets of I in [0, g), so that the orbits v_j + gZ partition I.  When
+g < m the root branches once per orbit:
+
+    alpha(I) = max_j (1 + alpha(I - O_1 - ... - O_{j-1} - N[v_j])),
+
+with O_j the orbit of v_j and N[v] the closed neighbourhood.  Proof: each
+branch is a packing, so the right side is at most alpha(I).  Conversely,
+let S be a maximum packing and j the least index with S meeting O_j, say at
+v_j + tg.  Then S - tg lies in I, is a packing of the same size, contains
+v_j and misses O_1, ..., O_{j-1}; without v_j it is a packing of the j-th
+subproblem.  A full table has every odd offset, so g = 2, one orbit, and
+alpha = 1 + alpha(I - N[1]).  Without a period below m the search is the
+plain branch and bound.
+
+Dirty reductions.  Between branchings every vertex left has degree >= 2,
+so the degree-0/1 rule re-checks only vertices whose degree changed: after
+an include the second neighbourhood of the chosen vertex, after an exclude
+its neighbours, after taking a degree-1 vertex the neighbours of its
+partner, and nothing after a component split.  The re-checks run in the
+same order as full rescans would, so the search tree is unchanged.
 
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
 """
-
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,6 +66,7 @@ class PackingResult:
     count: int
     witness: tuple[int, ...]
     method: str
+    nodes: int = 0  # search nodes of the exact solver; 0 for the others
 
 
 def conflict_diffs(shape: Iterable[int], modulus: int) -> frozenset[int]:
@@ -61,13 +85,15 @@ def translates_disjoint(inst: PackingInstance, offsets: Iterable[int]) -> bool:
     return True
 
 
-def _finish(inst: PackingInstance, offsets: Iterable[int], method: str) -> PackingResult:
+def _finish(
+    inst: PackingInstance, offsets: Iterable[int], method: str, nodes: int = 0
+) -> PackingResult:
     witness = tuple(sorted(offsets))
     if not set(witness) <= set(inst.candidates):
         raise RuntimeError(f"{method} solver chose offsets outside the candidates")
     if not translates_disjoint(inst, witness):
         raise RuntimeError(f"{method} solver produced overlapping translates")
-    return PackingResult(len(witness), witness, method)
+    return PackingResult(len(witness), witness, method, nodes)
 
 
 def _adjacency(inst: PackingInstance) -> tuple[list[int], list[int]]:
@@ -112,20 +138,31 @@ def _cover_bound(mask: int, adj: list[int]) -> int:
     return cnt
 
 
-def _solve_mask(adj: list[int], mask: int) -> tuple[int, int]:
-    """Exact (count, chosen_mask) for the induced subgraph on ``mask``.
+def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int, int]:
+    """Exact (count, chosen_mask, nodes) for the induced subgraph on ``mask``.
 
-    Only include-branches and component splits recurse; everything else
-    iterates, so the depth stays near the solution size.
+    ``orbits`` partitions ``mask`` into the orbits of a translation symmetry,
+    in the order of their least vertex, or is empty; with orbits the root
+    branches once per orbit (module docstring).  ``nodes`` counts one per
+    include branch, exclude branch and component.  Only include-branches and
+    component splits recurse; everything else iterates, so the depth stays
+    near the solution size.
     """
+    nodes = 0
+    # no vertex can exceed the maximum degree of the whole graph
+    max_deg = max(a.bit_count() for a in adj)
 
-    def bb(mask, cur_n, cur_mask, best_n, best_mask):
+    def bb(mask, dirty, cur_n, cur_mask, best_n, best_mask):
+        # invariant on entry: every vertex of mask outside dirty has degree >= 2
+        nonlocal nodes
+        nodes += 1
         while True:
-            # take isolated and degree-1 vertices; always part of some optimum
-            changed = True
-            while changed:
-                changed = False
-                rem = mask
+            # take isolated and degree-1 vertices; always part of some optimum.
+            # Passes in index order over the vertices whose degree changed;
+            # one touched above the scan position is seen in the same pass.
+            while dirty:
+                rem = dirty & mask
+                dirty = 0
                 while rem:
                     b = rem & -rem
                     rem ^= b
@@ -134,13 +171,13 @@ def _solve_mask(adj: list[int], mask: int) -> tuple[int, int]:
                         cur_n += 1
                         cur_mask |= b
                         mask ^= b
-                        changed = True
                     elif nb & (nb - 1) == 0:
                         cur_n += 1
                         cur_mask |= b
                         mask &= ~(b | nb)
-                        rem &= mask
-                        changed = True
+                        touched = adj[nb.bit_length() - 1] & mask
+                        dirty |= touched
+                        rem = (rem | touched & -(b << 1)) & mask
             if mask == 0:
                 return (cur_n, cur_mask) if cur_n > best_n else (best_n, best_mask)
             if cur_n + _cover_bound(mask, adj) <= best_n:
@@ -157,13 +194,14 @@ def _solve_mask(adj: list[int], mask: int) -> tuple[int, int]:
                 frontier = grow & mask & ~comp
                 comp |= frontier
             if comp != mask:
-                comp_n, comp_mask = bb(comp, 0, 0, *_greedy_mask(comp, adj))
+                # degrees inside and outside the component are unchanged
+                comp_n, comp_mask = bb(comp, 0, 0, 0, *_greedy_mask(comp, adj))
                 cur_n += comp_n
                 cur_mask |= comp_mask
                 mask ^= comp
                 continue
-            # branch on a maximum-degree vertex: include recursively,
-            # then exclude it and iterate
+            # branch on the first vertex of maximum degree: include
+            # recursively, then exclude it and iterate
             rem = mask
             pick, deg = -1, -1
             while rem:
@@ -173,32 +211,67 @@ def _solve_mask(adj: list[int], mask: int) -> tuple[int, int]:
                 d = (adj[v] & mask).bit_count()
                 if d > deg:
                     deg, pick = d, v
+                    if d == max_deg:
+                        break
             vb = 1 << pick
-            best_n, best_mask = bb(mask & ~(vb | adj[pick]), cur_n + 1,
+            nbrs = adj[pick] & mask
+            sub = mask & ~(vb | nbrs)
+            second = 0
+            rem = nbrs
+            while rem:
+                lb = rem & -rem
+                rem ^= lb
+                second |= adj[lb.bit_length() - 1]
+            best_n, best_mask = bb(sub, second & sub, cur_n + 1,
                                    cur_mask | vb, best_n, best_mask)
-            mask &= ~vb
+            mask ^= vb
+            dirty = nbrs
+            nodes += 1
 
     n = mask.bit_length()
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * n + 1000))
     try:
-        return bb(mask, 0, 0, *_greedy_mask(mask, adj))
+        best = _greedy_mask(mask, adj)
+        if not orbits:
+            best = bb(mask, mask, 0, 0, *best)
+        for orbit in orbits:
+            vb = orbit & -orbit
+            sub = mask & ~(vb | adj[vb.bit_length() - 1])
+            best = bb(sub, sub, 1, vb, *best)
+            mask &= ~orbit
     finally:
         sys.setrecursionlimit(old_limit)
+    return *best, nodes
+
+
+def _orbit_masks(inst: PackingInstance) -> list[int]:
+    """Vertex masks of the orbits i + gZ, by least offset, for the period g
+    of I (the least divisor of m with I + g = I); empty when g = m."""
+    m, cands = inst.modulus, inst.candidates
+    members = set(cands)
+    # O(|I|) per divisor; g = m always qualifies
+    g = next(g for g in range(1, m + 1)
+             if m % g == 0 and all((i + g) % m in members for i in cands))
+    if g == m:
+        return []
+    pos = {v: k for k, v in enumerate(cands)}
+    return [sum(1 << pos[w] for w in range(v, m, g)) for v in cands if v < g]
 
 
 def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     """Maximum number of pairwise disjoint translates, with witness.
 
     Deterministic: identical inputs explore the identical search tree.  The
-    witness is the fixed search order's first optimum, reported sorted.
+    witness is the fixed search order's first optimum, reported sorted;
+    ``nodes`` counts the search nodes.
     """
     verts, adj = _adjacency(inst)
     if not verts:
         return PackingResult(0, (), "exact")
-    _, chosen = _solve_mask(adj, (1 << len(verts)) - 1)
+    _, chosen, nodes = _solve_mask(adj, (1 << len(verts)) - 1, _orbit_masks(inst))
     offsets = [verts[i] for i in range(len(verts)) if chosen >> i & 1]
-    return _finish(inst, offsets, "exact")
+    return _finish(inst, offsets, "exact", nodes)
 
 
 def max_disjoint_translates_greedy(inst: PackingInstance) -> PackingResult:

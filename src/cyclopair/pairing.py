@@ -106,7 +106,10 @@ def _build_table(
 
 def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PairingFormatError(f"not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -20,6 +20,7 @@ from cyclopair.bernoulli import (
     bernoulli_fast_row,
     bernoulli_naive_row,
     bernoulli_voronoi_row,
+    irregular_sweep,
 )
 from cyclopair.criteria import HOLDS, FAILS, HypothesisFlags, greenberg_verdict, height_lower_bound, gk_verdict
 from cyclopair.eigenstructure import check_congruences, congruence_sweep
@@ -171,12 +172,11 @@ def test_acceptance_6_packing_solvers():
     _verdict_line(6, "packing: exact = brute on 500 instances", failures, elapsed)
 
 
-@pytest.mark.slow
-def test_acceptance_7_greenberg_height_coupling(sweep_1000):
+def test_acceptance_7_greenberg_height_coupling():
     start = time.time()
     failures = []
-    for irr in sweep_1000:
-        if irr.p > 500 or not irr.indices:
+    for irr in irregular_sweep(500):
+        if not irr.indices:
             continue
         flags = HypothesisFlags.defaults_for(irr.p)
         elig = eligible_set(irr, synth_table(irr.p, irr, seed=11))

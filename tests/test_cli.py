@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclopair import cli
 from cyclopair.bernoulli import irregular_indices
 from cyclopair.pairing import serialize_pairing_table, synth_table
 
@@ -215,6 +216,45 @@ def test_report_includes_exceptional_verdicts():
 def test_usage_error_exits_2():
     res = run_cli("report", "--max-p", 100)  # missing --pairing
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bern", "3"], "no even indices", id="p-3"),
+    pytest.param(["bern", "4000000007"], "not supported", id="p-beyond-primality-test"),
+    pytest.param(["bern", "37", "--k", "31"], "k must be even", id="k-odd"),
+    pytest.param(["bern", "37", "--k", "36", "--method", "voronoi"], "k must be even",
+                 id="k-out-of-range-voronoi"),
+    pytest.param(["bern", "5", "--k", "2"], "no row entries", id="empty-row"),
+    pytest.param(["criteria", "9", "--pairing", "/dev/null"], "not an odd prime",
+                 id="criteria-p"),
+    pytest.param(["irregular", "--max-p", "50", "--jobs", "0"], "--jobs", id="jobs"),
+    pytest.param(["report", "--max-p", "50", "--jobs", "-1", "--pairing", "/dev/null"],
+                 "--jobs", id="report-jobs"),
+])
+def test_input_errors_exit_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cyclopair: error: ") and message in err
+
+
+def test_undecodable_inputs_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.tsv"
+    binary.write_bytes(b"13\t4,10\n\xff\xfe\n")
+    assert cli.main(["congruence-sweep", "--max-p", "100", "--source", str(binary)]) == 2
+    assert cli.main(["criteria", "37", "--pairing", str(binary)]) == 2
+    assert capsys.readouterr().err.count("cyclopair: error: ") == 2
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    # a ValueError from inside the program is a bug, not a usage error
+    def broken(*args):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    assert cli.main(["criteria", "11", "--pairing", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal inconsistency" in err
+    assert "cyclopair: error:" not in err
 
 
 def test_closed_stdout_is_not_a_usage_error():

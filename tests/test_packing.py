@@ -4,14 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclopair.bernoulli import irregular_indices
+from cyclopair import criteria
+from cyclopair.criteria import HypothesisFlags, height_lower_bound
 from cyclopair.packing import (
     PackingInstance,
+    _orbit_masks,
     brute_force_packing,
     conflict_diffs,
     max_disjoint_translates_exact,
     max_disjoint_translates_greedy,
     translates_disjoint,
 )
+from cyclopair.pairing import eligible_set, synth_table
 
 ODDS_12 = (1, 3, 5, 7, 9, 11)
 
@@ -133,3 +138,104 @@ def test_full_candidate_cycle_structure():
     res = max_disjoint_translates_exact(pi)
     assert res.count == 36  # six 13-cycles in the halved space
     assert translates_disjoint(pi, res.witness)
+
+
+# moduli with several proper divisors, so periods and orbit counts vary
+DIVISOR_RICH = (12, 18, 20, 24, 30, 36, 40, 48, 60)
+
+
+def periodic_instance(m, g, base, shape):
+    # I = base + gZ, so I + g = I: the orbits of the root rule are base's
+    return inst(m, shape, [b + t * g for b in base for t in range(m // g)])
+
+
+def periods(m):
+    # proper divisors g of m leaving at most 14 candidates per base offset
+    return [g for g in range(1, m) if m % g == 0 and m // g <= 14]
+
+
+def test_exact_matches_brute_periodic_random():
+    rng = random.Random(4913)
+    orbit_counts = set()
+    for _ in range(300):
+        m = rng.choice(DIVISOR_RICH)
+        g = rng.choice(periods(m))
+        k = rng.randint(1, max(1, min(g, 16 // (m // g))))
+        pi = periodic_instance(m, g, rng.sample(range(g), k),
+                               rng.sample(range(m), rng.randint(1, 4)))
+        orbit_counts.add(len(_orbit_masks(pi)))
+        exact = max_disjoint_translates_exact(pi)
+        assert exact.count == brute_force_packing(pi).count, pi
+        assert translates_disjoint(pi, exact.witness)
+    assert 1 in orbit_counts and max(orbit_counts) >= 4
+
+
+def test_orbit_masks_partition_the_candidates():
+    pi = periodic_instance(24, 6, [1, 2, 4], [0, 5])
+    orbits = _orbit_masks(pi)
+    assert len(orbits) == 3  # the period is 6: offsets 1, 2, 4 and their shifts
+    assert sum(orbits) == (1 << len(pi.candidates)) - 1
+    assert [o & -o for o in orbits] == sorted(o & -o for o in orbits)
+    # no period below m: the search runs without the root rule
+    assert _orbit_masks(inst(24, [0, 5], [1, 2, 4, 7])) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DIVISOR_RICH), st.data())
+def test_exact_matches_brute_periodic_property(m, data):
+    g = data.draw(st.sampled_from(periods(m)))
+    base = data.draw(st.lists(st.integers(0, g - 1), min_size=1,
+                              max_size=max(1, 14 // (m // g)), unique=True))
+    shape = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+    pi = periodic_instance(m, g, base, shape)
+    assert max_disjoint_translates_exact(pi).count == brute_force_packing(pi).count
+
+
+def test_node_counts():
+    pi = inst(40, [2, 6, 18], range(1, 40, 2))
+    assert max_disjoint_translates_exact(pi).nodes > 0
+    assert max_disjoint_translates_greedy(pi).nodes == 0
+    assert brute_force_packing(inst(12, [2, 6], ODDS_12)).nodes == 0
+    assert max_disjoint_translates_exact(inst(12, [2, 6], [])).nodes == 0
+
+
+def full_table_bound(p):
+    irr = irregular_indices(p)
+    elig = eligible_set(irr, synth_table(p, irr, seed=11))
+    return irr, height_lower_bound(irr, elig, HypothesisFlags.defaults_for(p))
+
+
+def test_full_table_491(monkeypatch):
+    # the hardest full table below 500 (r = 3): one orbit under the period 2
+    solved = []
+
+    def solve(pi):
+        solved.append(max_disjoint_translates_exact(pi))
+        return solved[-1]
+
+    monkeypatch.setattr(criteria, "max_disjoint_translates_exact", solve)
+    irr, bound = full_table_bound(491)
+    assert irr.indices == (292, 336, 338)
+    assert (bound.d, bound.bound_exact) == (76, 77)
+    assert len(bound.witness) == 76
+    assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
+    # the search tree is deterministic; a change to its size should be deliberate
+    assert [res.nodes for res in solved] == [18_330]
+
+
+@pytest.mark.parametrize("p", [157, 353, 379, 467])
+def test_full_table_r2_cycle_formula(p):
+    # R = {k, k'}: the only conflicts are i ~ i +- (k' - k), so the graph on
+    # the odd offsets is a union of cycles and d is the sum of floor(len/2)
+    irr, bound = full_table_bound(p)
+    assert irr.r == 2
+    m, step = p - 1, irr.indices[1] - irr.indices[0]
+    unseen, expected = set(range(1, m, 2)), 0
+    while unseen:
+        i, length = unseen.pop(), 1
+        j = (i + step) % m
+        while j != i:
+            unseen.remove(j)
+            j, length = (j + step) % m, length + 1
+        expected += length // 2
+    assert bound.d == expected
