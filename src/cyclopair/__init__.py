@@ -27,7 +27,6 @@ from .packing import (
     brute_force_packing,
     conflict_diffs,
     max_disjoint_translates_exact,
-    max_disjoint_translates_greedy,
 )
 from .pairing import (
     EligibleSet,

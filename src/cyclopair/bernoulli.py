@@ -9,13 +9,16 @@ Three independent routes to the same row B_2, B_4, ..., B_{p-3} mod p:
 * ``fast``    -- the same congruence for every k at once, with t = g a
   primitive root (Buhler et al. 2001; Harvey 2010).  Pairing j with p-j and
   writing j = g^a, a < n = (p-1)/2, with k-1 = 2m+1 and Bluestein's
-  2am = (a+m)^2 - a^2 - m^2, gives (g^k - 1) B_k / k == g^(k-1-m^2) C_m,
-  C_m = sum_a x_a z_(a+m), x_a = eps(a) g^(a-a^2), z_s = g^(s^2) and
-  eps(a) = 2 floor(g (g^a mod p) / p) - g + 1.  One Kronecker convolution
-  of reversed x with z gives every C_m, fast enough to sweep p < 25,000.
+  2am = (a+m)^2 - a^2 - m^2, gives (g^k - 1) B_k / k == g^(k-1-m^2) S_m,
+  S_m = sum_a x_a z_(a+m), x_a = eps(a) g^(a-a^2), z_s = g^(s^2) and
+  eps(a) = 2 floor(g (g^a mod p) / p) - g + 1.  One convolution of
+  reversed x with z gives every S_m, fast enough to sweep p < 25,000.
 
 For 2 <= k <= p-3 the von Staudt-Clausen denominators are prime to p, so
 every entry is a well-defined residue and every division below is legal.
+There k, g^(k-1-m^2) and g^k - 1 (as 0 < k < p-1) are units mod p, so
+B_k == 0 iff S_m == 0: the irregular sweep reads its zeros straight from
+the sums, without scaling them into B_k.
 """
 
 import multiprocessing
@@ -56,18 +59,15 @@ class IrregularSet:
         return len(self.indices)
 
 
-def _check_row_prime(p: int) -> bool:
-    """Validate p; True when the row is nonempty (p >= 7), False for p == 5."""
+def _check_row_prime(p: int) -> None:
     require_odd_prime(p)
     if p == 3:
         raise ValueError("p = 3 has no even indices in [2, p-3]")
-    return p >= 7
 
 
 def bernoulli_naive_row(p: int) -> BernoulliRow:
     """Reference row via the binomial recurrence, all arithmetic in Z/p."""
-    if not _check_row_prime(p):
-        return BernoulliRow(p, {}, METHOD_NAIVE)
+    _check_row_prime(p)
     top = p - 3
     B = [0] * (top + 1)
     B[0] = 1
@@ -114,8 +114,7 @@ def bernoulli_voronoi(p: int, k: int) -> int:
 
 def bernoulli_voronoi_row(p: int) -> BernoulliRow:
     """All even k at once, sharing the power table across k."""
-    if not _check_row_prime(p):
-        return BernoulliRow(p, {}, METHOD_VORONOI)
+    _check_row_prime(p)
     floor2 = [j * 2 // p for j in range(p)]
     jpow = list(range(p))  # j^(k-1) for the current k, starting at k = 2
     jsq = [j * j % p for j in range(p)]
@@ -143,10 +142,10 @@ def _square_powers(b: int, n: int, p: int) -> list[int]:
     return out
 
 
-def bernoulli_fast_row(p: int) -> BernoulliRow:
-    """Same contents as the naive row from one convolution (see module doc)."""
-    if not _check_row_prime(p):
-        return BernoulliRow(p, {}, METHOD_FAST)
+def _voronoi_sums(p: int) -> tuple[int, list[int], list[int]]:
+    """g = primitive_root(p), z_inv[s] = g^(-s^2) for s < n = (p-1)/2, and
+    S_m mod p for m < n - 1, from one convolution (see module doc)."""
+    _check_row_prime(p)
     g = primitive_root(p)
     n = (p - 1) // 2
     z = _square_powers(g, n, p)
@@ -158,18 +157,25 @@ def bernoulli_fast_row(p: int) -> BernoulliRow:
     # conv[i + 1] = P[i] for P = (reversed x) * z, and conv[0] = P[-1] = 0
     conv = [0] + convolution_mod(x[::-1], z, p)
     sign = -1 if n % 2 else 1  # z_(s+n) = (-1)^n z_s folds a + m >= n back
-    num, den, prefix = [0] * (n - 1), [0] * (n - 1), [0] * (n - 1)
+    return g, z_inv, [(conv[n + m] + sign * conv[m]) % p for m in range(n - 1)]
+
+
+def bernoulli_fast_row(p: int) -> BernoulliRow:
+    """Same contents as the naive row from one convolution (see module doc)."""
+    g, z_inv, sums = _voronoi_sums(p)
+    size = len(sums)
+    num, den, prefix = [0] * size, [0] * size, [0] * size
     gk, acc = g, 1  # g^(k-1) for k = 2m + 2; product of den[:m]
-    for m in range(n - 1):
-        num[m] = (2 * m + 2) * gk * z_inv[m] * (conv[n + m] + sign * conv[m]) % p
+    for m, s in enumerate(sums):
+        num[m] = (2 * m + 2) * gk * z_inv[m] * s % p
         den[m] = (gk * g - 1) % p  # g^k - 1, nonzero as 0 < k < p - 1
         prefix[m], acc = acc, acc * den[m] % p
         gk = gk * g * g % p
     inv = mod_inv(acc, p)  # one inverse for all den[m], unwound from the top
-    for m in range(n - 2, -1, -1):
+    for m in range(size - 1, -1, -1):
         num[m] = num[m] * inv * prefix[m] % p
         inv = inv * den[m] % p
-    return BernoulliRow(p, {2 * m + 2: num[m] for m in range(n - 1)}, METHOD_FAST)
+    return BernoulliRow(p, {2 * m + 2: num[m] for m in range(size)}, METHOD_FAST)
 
 
 _ROW_METHODS = {
@@ -189,9 +195,9 @@ def bernoulli_row(p: int, method: str = METHOD_FAST) -> BernoulliRow:
 
 def irregular_indices(p: int, method: str = METHOD_FAST) -> IrregularSet:
     """The set R of even k in [2, p-3] with B_k == 0 mod p."""
-    require_odd_prime(p)
-    if p == 5:
-        return IrregularSet(5, ())
+    if method == METHOD_FAST:  # S_m == 0 iff B_(2m+2) == 0 (see module doc)
+        _, _, sums = _voronoi_sums(p)
+        return IrregularSet(p, tuple(2 * m + 2 for m, s in enumerate(sums) if s == 0))
     return IrregularSet(p, bernoulli_row(p, method).zero_indices())
 
 

@@ -99,10 +99,7 @@ def _cmd_bern(args) -> int:
         if args.method == METHOD_VORONOI:
             value = bernoulli_voronoi(p, k)
         else:
-            row = _cross_checked_row(p, args.method)
-            if k not in row.values:  # the rows start at p = 7
-                raise InputError(f"no row entries for p = {p}")
-            value = row.values[k]
+            value = _cross_checked_row(p, args.method).values[k]
         sys.stdout.write(f"{k}\t{value}\n")
         return 0
     row = _cross_checked_row(p, args.method)

@@ -1,4 +1,4 @@
-"""Exact and greedy packing of disjoint translates i + R inside Z/m.
+"""Exact packing of disjoint translates i + R inside Z/m.
 
 Two translates i + R and i' + R intersect exactly when i - i' lands in the
 difference set D = R - R, so the packing problem is a maximum independent
@@ -272,21 +272,6 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     _, chosen, nodes = _solve_mask(adj, (1 << len(verts)) - 1, _orbit_masks(inst))
     offsets = [verts[i] for i in range(len(verts)) if chosen >> i & 1]
     return _finish(inst, offsets, "exact", nodes)
-
-
-def max_disjoint_translates_greedy(inst: PackingInstance) -> PackingResult:
-    """Ascending-order greedy; never exceeds the exact count and picks at
-    least ceil(|I| / |D|) offsets since each pick blocks at most |D|."""
-    diffs = conflict_diffs(inst.shape, inst.modulus)
-    chosen: list[int] = []
-    blocked: set[int] = set()
-    for i in inst.candidates:
-        if i in blocked:
-            continue
-        chosen.append(i)
-        # D is symmetric, so blocking i + d for d in D covers both directions
-        blocked.update((i + d) % inst.modulus for d in diffs)
-    return _finish(inst, chosen, "greedy")
 
 
 def brute_force_packing(inst: PackingInstance) -> PackingResult:

@@ -192,6 +192,8 @@ def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
             present[i] = present.get(i, 0) + 1
             if v == 0:
                 zero.add(i)
+    if not present:  # no entry for any k in R: every offset is missing
+        return EligibleSet(p, (), tuple(odd))
     r = len(R)
     eligible = [i for i in odd if present.get(i) == r and i not in zero]
     missing = [i for i in odd if present.get(i, 0) < r]

@@ -29,10 +29,10 @@ from cyclopair.packing import (
     PackingInstance,
     brute_force_packing,
     max_disjoint_translates_exact,
-    max_disjoint_translates_greedy,
     translates_disjoint,
 )
 from cyclopair.pairing import eligible_set, parse_pairing_file, synth_b_table, synth_table
+from test_packing import max_disjoint_translates_greedy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

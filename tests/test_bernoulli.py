@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,8 +57,10 @@ def test_naive_p37_unique_zero():
 
 
 def test_row_degenerate_primes():
-    assert bernoulli_naive_row(5).values == {}
-    assert bernoulli_fast_row(5).values == {}
+    # B_2 = 1/6 == 1 mod 5: the rows start at p = 5, where every method agrees
+    assert bernoulli_naive_row(5).values == {2: 1}
+    assert bernoulli_fast_row(5).values == {2: 1}
+    assert bernoulli_voronoi_row(5).values == {2: 1}
     with pytest.raises(ValueError):
         bernoulli_naive_row(3)
     with pytest.raises(ValueError):
@@ -126,6 +130,43 @@ def test_fast_p9829_paper_indices():
     row = bernoulli_fast_row(9829)
     assert row.values[4562] == 0
     assert row.values[7548] == 0
+
+
+def test_sweep_zeros_match_fast_row_below_3500():
+    # the sweep reads its zeros from the unscaled sums S_m; the range spans
+    # the decimal product's cutoff (n = 1,500 at p = 3,001)
+    for p in range(5, 3500, 2):
+        if is_prime(p):
+            assert irregular_indices(p).indices == bernoulli_fast_row(p).zero_indices(), p
+
+
+@pytest.mark.parametrize("p, indices", [
+    (10069, (5808, 8684)),        # p == 1 mod 4: the cyclic fold
+    (10463, (158, 1862, 9500)),   # p == 3 mod 4: the negacyclic fold
+    (10531, (2172, 3804)),
+])
+def test_sweep_zeros_match_voronoi_above_10000(p, indices):
+    irr = irregular_indices(p)
+    assert irr.indices == indices
+    for k in indices:
+        assert bernoulli_voronoi(p, k) == 0
+    rng = random.Random(p)
+    for k in rng.sample([k for k in range(2, p - 2, 2) if k not in indices], 20):
+        assert bernoulli_voronoi(p, k) != 0, k
+
+
+def test_fast_row_p24989_converts_no_long_int_to_str():
+    # int <-> str is quadratic and capped by int_max_str_digits: the product
+    # must never go through it
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        row = bernoulli_fast_row(24989)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert len(row.values) == 12493
+    for k in (2, 4, 12492, 24986):
+        assert row.values[k] == bernoulli_voronoi(24989, k), k
 
 
 def test_bernoulli_row_dispatch():

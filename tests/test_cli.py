@@ -45,10 +45,13 @@ def test_bern_methods_agree():
     assert outputs["naive"] == outputs["voronoi"] == outputs["fast"]
 
 
-def test_bern_p5_empty():
-    res = run_cli("bern", "5")
-    assert res.returncode == 0
-    assert res.stdout == b""
+def test_bern_p5_row():
+    # B_2 = 1/6 == 1 mod 5, by every method
+    for args in (("bern", "5"), ("bern", "5", "--k", "2"),
+                 ("bern", "5", "--k", "2", "--method", "voronoi")):
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert res.stdout == b"2\t1\n"
 
 
 def test_irregular_40():
@@ -224,7 +227,7 @@ def test_usage_error_exits_2():
     pytest.param(["bern", "37", "--k", "31"], "k must be even", id="k-odd"),
     pytest.param(["bern", "37", "--k", "36", "--method", "voronoi"], "k must be even",
                  id="k-out-of-range-voronoi"),
-    pytest.param(["bern", "5", "--k", "2"], "no row entries", id="empty-row"),
+    pytest.param(["bern", "5", "--k", "4"], "k must be even", id="k-out-of-range-p5"),
     pytest.param(["criteria", "9", "--pairing", "/dev/null"], "not an odd prime",
                  id="criteria-p"),
     pytest.param(["irregular", "--max-p", "50", "--jobs", "0"], "--jobs", id="jobs"),

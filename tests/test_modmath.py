@@ -3,8 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclopair import modmath
 from cyclopair.modmath import (
+    _DECIMAL_CUTOFF,
     _KRONECKER_CUTOFF,
+    _convolution_decimal,
+    _convolution_kronecker,
     _convolution_schoolbook,
     convolution_mod,
     factorize,
@@ -114,8 +118,9 @@ def test_convolution_matches_schoolbook_property(p, u, v):
 
 
 def test_convolution_two_word_slots():
-    # at p = 2^31 - 1 the slot bound needs more than 64 bits; the inputs are
-    # unreduced, negative and far above p
+    # at p = 2^31 - 1 the slot bound needs more than 64 bits, which sends
+    # every length to the decimal path; the inputs are unreduced, negative
+    # and far above p
     p = 2**31 - 1
     rng = random.Random(31)
     for nu, nv in ((_KRONECKER_CUTOFF + 1, _KRONECKER_CUTOFF + 1), (40, 75), (130, 33)):
@@ -124,3 +129,67 @@ def test_convolution_two_word_slots():
         assert (min(nu, nv) * (p - 1) ** 2).bit_length() > 64
         expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
         assert convolution_mod(u, v, p) == expected
+
+
+def test_kronecker_and_decimal_paths_match_schoolbook():
+    # each fast path on its own, at short lengths and every slot width
+    rng = random.Random(1500)
+    for _ in range(300):
+        p = rng.choice(SMALL_PRIMES + [2**31 - 1])
+        nu, nv = rng.randint(1, 40), rng.randint(1, 40)
+        u = [rng.randrange(-3 * p, 3 * p) for _ in range(nu)]
+        v = [rng.choice((0, -1, p - 1, rng.randrange(-3 * p, 3 * p))) for _ in range(nv)]
+        expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
+        bound = min(nu, nv) * (p - 1) ** 2
+        assert _convolution_decimal(u, v, p, len(str(bound))) == expected
+        if bound < 1 << 64:
+            assert _convolution_kronecker(u, v, p) == expected
+
+
+def _record_paths(monkeypatch):
+    taken = []
+    for name in ("_convolution_kronecker", "_convolution_decimal"):
+        def spy(*args, real=getattr(modmath, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(modmath, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("nu, nv", [
+    (_DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF - 1),
+    (_DECIMAL_CUTOFF, _DECIMAL_CUTOFF),
+    (_DECIMAL_CUTOFF + 1, _DECIMAL_CUTOFF + 1),
+    (_DECIMAL_CUTOFF, 2 * _DECIMAL_CUTOFF + 7),
+    (2 * _DECIMAL_CUTOFF + 7, _DECIMAL_CUTOFF - 1),
+])
+def test_convolution_at_decimal_cutoff(monkeypatch, nu, nv):
+    # p = 3001 keeps every value in one 64-bit word, so the shorter length
+    # alone picks the path
+    p = 3001
+    taken = _record_paths(monkeypatch)
+    rng = random.Random(nu * 7919 + nv)
+
+    def operand(n):
+        # mostly residue p - 1, so the largest values reach the slot bound,
+        # given unreduced and negative; the top three are zero mod p, so the
+        # product's top slots are zero and its str is shorter than the slots
+        out = [rng.choice((-1, p - 1, 5 * p - 1, rng.randrange(-10**12, 10**12)))
+               for _ in range(n)]
+        out[-3:] = [0, p, -p]
+        return out
+
+    u, v = operand(nu), operand(nv)
+    expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
+    assert expected[-5:] == [0] * 5
+    assert convolution_mod(u, v, p) == expected
+    short = "_convolution_kronecker" if min(nu, nv) < _DECIMAL_CUTOFF else "_convolution_decimal"
+    assert taken == [short]
+
+
+def test_convolution_decimal_zero_operand():
+    p, n = 24989, _DECIMAL_CUTOFF + 3
+    v = [random.Random(3).randrange(p) for _ in range(n)]
+    for zero in ([0] * n, [p] * n, [-p] * n):
+        assert convolution_mod(zero, v, p) == [0] * (2 * n - 1)
+        assert convolution_mod(v, zero, p) == [0] * (2 * n - 1)

@@ -9,11 +9,12 @@ from cyclopair import criteria
 from cyclopair.criteria import HypothesisFlags, height_lower_bound
 from cyclopair.packing import (
     PackingInstance,
+    PackingResult,
+    _finish,
     _orbit_masks,
     brute_force_packing,
     conflict_diffs,
     max_disjoint_translates_exact,
-    max_disjoint_translates_greedy,
     translates_disjoint,
 )
 from cyclopair.pairing import eligible_set, synth_table
@@ -23,6 +24,21 @@ ODDS_12 = (1, 3, 5, 7, 9, 11)
 
 def inst(m, R, I):
     return PackingInstance.from_sets(m, R, I)
+
+
+def max_disjoint_translates_greedy(inst: PackingInstance) -> PackingResult:
+    """Ascending-order greedy; never exceeds the exact count and picks at
+    least ceil(|I| / |D|) offsets since each pick blocks at most |D|."""
+    diffs = conflict_diffs(inst.shape, inst.modulus)
+    chosen: list[int] = []
+    blocked: set[int] = set()
+    for i in inst.candidates:
+        if i in blocked:
+            continue
+        chosen.append(i)
+        # D is symmetric, so blocking i + d for d in D covers both directions
+        blocked.update((i + d) % inst.modulus for d in diffs)
+    return _finish(inst, chosen, "greedy")
 
 
 def test_conflict_diffs_examples():

@@ -224,6 +224,12 @@ def test_eligible_matches_per_offset_reference():
         stray = {(2, k): 0, (-1, k): 0, (irr.p, k): 0, (irr.p + 2, k): 5, (1, k + 1): 0}
         table = PairingTable(irr.p, {}, {**full, **stray})
         assert eligible_set(irr, table) == _eligible_set_per_offset(irr, table)
+        # no e-entry for any k in R: a b-only table, and one whose e-entries
+        # all sit at an index outside R
+        b_only = synth_b_table(irr.p, irr, seed=rng.randrange(10**6))
+        outside = PairingTable(irr.p, {}, {(i, k + 2): 1 for i in range(1, irr.p - 1, 2)})
+        for table in (b_only, outside):
+            assert eligible_set(irr, table) == _eligible_set_per_offset(irr, table)
 
 
 def test_synth_table_examples():
