@@ -10,15 +10,26 @@ Three independent routes to the same row B_2, B_4, ..., B_{p-3} mod p:
   primitive root (Buhler et al. 2001; Harvey 2010).  Pairing j with p-j and
   writing j = g^a, a < n = (p-1)/2, with k-1 = 2m+1 and Bluestein's
   2am = (a+m)^2 - a^2 - m^2, gives (g^k - 1) B_k / k == g^(k-1-m^2) S_m,
-  S_m = sum_a x_a z_(a+m), x_a = eps(a) g^(a-a^2), z_s = g^(s^2) and
-  eps(a) = 2 floor(g (g^a mod p) / p) - g + 1.  One convolution of
-  reversed x with z gives every S_m, fast enough to sweep p < 25,000.
+  S_m = g^(m^2) sum_(a<n) eps(a) g^(a(2m+1)) and
+  eps(a) = 2 floor(g (g^a mod p) / p) - g + 1.  One cyclic convolution
+  gives every S_m (below), fast enough to sweep p < 25,000.
+
+The cyclic product.  Let t = n mod 2, x_a = eps(a) g^((1-t) a - a^2) and
+z_s = g^(s^2 + t s).  As g^n == -1, z_(s+n) = z_s g^(2sn) g^(n(n+t)) = z_s
+because n + t is even, so z is n-periodic.  (Without the twist, at t = 0
+for odd n, z_(s+n) = -z_s and the sums would be negacyclic.)  Also
+x_a z_(a+m) = eps(a) g^(a(2m+1)) g^(m^2 + t m), hence
+T_m = sum_(a<n) x_a z_((a+m) mod n) = g^(t m) S_m.  With
+x'_i = x_(-i mod n), i.e. x' = (x_0, x_(n-1), ..., x_1), the cyclic
+convolution c_m = sum_(i+j == m mod n) x'_i z_j = sum_a x_a z_(a+m) = T_m.
+The row scales T_m by g^(k-1) z_m^(-1) = g^(k-1-m^2-t m), which gives
+g^(k-1-m^2) S_m.
 
 For 2 <= k <= p-3 the von Staudt-Clausen denominators are prime to p, so
 every entry is a well-defined residue and every division below is legal.
-There k, g^(k-1-m^2) and g^k - 1 (as 0 < k < p-1) are units mod p, so
-B_k == 0 iff S_m == 0: the irregular sweep reads its zeros straight from
-the sums, without scaling them into B_k.
+There k, g^(k-1-m^2-t m) and g^k - 1 (as 0 < k < p-1) are units mod p, so
+B_k == 0 iff T_m == 0: the irregular sweep reads its zeros straight from
+the convolution, without scaling it into B_k.
 """
 
 import multiprocessing
@@ -134,30 +145,36 @@ def bernoulli_voronoi_row(p: int) -> BernoulliRow:
     return BernoulliRow(p, values, METHOD_VORONOI)
 
 
-def _square_powers(b: int, n: int, p: int) -> list[int]:
-    # b^(s^2) for s < n, stepping by b^((s+1)^2 - s^2) = b^(2s+1)
-    out, step, b2 = [1] * n, b, b * b % p
-    for s in range(1, n):
+def _square_powers(b: int, n: int, t: int, p: int) -> list[int]:
+    # b^(s^2 + t s) for s < n = (p-1)/2, stepping by b^(2s+1+t).  The
+    # exponents at s and n - t - s differ by n (n - t - 2s), a multiple of
+    # 2n = p - 1, so only s <= (n-t)/2 are computed and the rest mirrored.
+    mid = (n - t) // 2
+    out, step, b2 = [1] * (mid + 1), pow(b, 1 + t, p), b * b % p
+    for s in range(1, mid + 1):
         out[s], step = out[s - 1] * step % p, step * b2 % p
-    return out
+    return out + out[1 - t:mid][::-1]
 
 
 def _voronoi_sums(p: int) -> tuple[int, list[int], list[int]]:
-    """g = primitive_root(p), z_inv[s] = g^(-s^2) for s < n = (p-1)/2, and
-    S_m mod p for m < n - 1, from one convolution (see module doc)."""
+    """g = primitive_root(p), z_inv[s] = g^(-s^2 - t s) for s < n = (p-1)/2
+    and t = n mod 2, and T_m = g^(t m) S_m mod p for m < n - 1, from one
+    cyclic convolution (see module doc)."""
     _check_row_prime(p)
     g = primitive_root(p)
     n = (p - 1) // 2
-    z = _square_powers(g, n, p)
-    z_inv = _square_powers(mod_inv(g, p), n, p)
-    x, ga = [0] * n, 1  # x_a = eps(a) g^(a - a^2); ga = g^a mod p
+    t = n % 2
+    z = _square_powers(g, n, t, p)
+    z_inv = _square_powers(mod_inv(g, p), n, t, p)
+    # x[-a] = x_a = eps(a) g^((1-t) a - a^2), stored as (x_0, x_(n-1), ..., x_1);
+    # ga = g^a mod p
+    x, ga = [0] * n, 1
     for a in range(n):
         q, ga_next = divmod(g * ga, p)  # q = floor(g (g^a mod p) / p)
-        x[a], ga = (2 * q - g + 1) * ga * z_inv[a] % p, ga_next
-    # conv[i + 1] = P[i] for P = (reversed x) * z, and conv[0] = P[-1] = 0
-    conv = [0] + convolution_mod(x[::-1], z, p)
-    sign = -1 if n % 2 else 1  # z_(s+n) = (-1)^n z_s folds a + m >= n back
-    return g, z_inv, [(conv[n + m] + sign * conv[m]) % p for m in range(n - 1)]
+        x[-a], ga = (2 * q - g + 1) * ga * z_inv[a] % p, ga_next
+    sums = convolution_mod(x, z, p)
+    sums.pop()  # m = n - 1 is k = p - 1, outside the row
+    return g, z_inv, sums
 
 
 def bernoulli_fast_row(p: int) -> BernoulliRow:
@@ -167,6 +184,7 @@ def bernoulli_fast_row(p: int) -> BernoulliRow:
     num, den, prefix = [0] * size, [0] * size, [0] * size
     gk, acc = g, 1  # g^(k-1) for k = 2m + 2; product of den[:m]
     for m, s in enumerate(sums):
+        # z_inv[m] = g^(-m^2 - t m) also takes out the twist g^(t m)
         num[m] = (2 * m + 2) * gk * z_inv[m] * s % p
         den[m] = (gk * g - 1) % p  # g^k - 1, nonzero as 0 < k < p - 1
         prefix[m], acc = acc, acc * den[m] % p
@@ -195,7 +213,7 @@ def bernoulli_row(p: int, method: str = METHOD_FAST) -> BernoulliRow:
 
 def irregular_indices(p: int, method: str = METHOD_FAST) -> IrregularSet:
     """The set R of even k in [2, p-3] with B_k == 0 mod p."""
-    if method == METHOD_FAST:  # S_m == 0 iff B_(2m+2) == 0 (see module doc)
+    if method == METHOD_FAST:  # T_m == 0 iff B_(2m+2) == 0 (see module doc)
         _, _, sums = _voronoi_sums(p)
         return IrregularSet(p, tuple(2 * m + 2 for m, s in enumerate(sums) if s == 0))
     return IrregularSet(p, bernoulli_row(p, method).zero_indices())

@@ -26,7 +26,7 @@ from .bernoulli import (
 from .cache import IrregularCache, read_entries
 from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 from .eigenstructure import congruence_sweep
-from .modmath import require_odd_prime
+from .modmath import MODULUS_LIMIT, require_odd_prime
 from .pairing import PairingFormatError, parse_pairing_file
 from .report import build_report, table_digest
 
@@ -60,6 +60,8 @@ def _sweep(args):
     """The irregular sweep below --max-p with the --jobs and cache options."""
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_p > MODULUS_LIMIT:  # past the primality test; the sieve allocates max_p bytes
+        raise InputError(f"--max-p must be at most 2^31 = {MODULUS_LIMIT}, got {args.max_p}")
     return irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
 
 

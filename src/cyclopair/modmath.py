@@ -10,18 +10,22 @@ from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 
 # Smallest composite strong pseudoprime to bases 2, 3, 5, 7 is 3,215,031,751
 # (Jaeschke), so these bases decide primality for every n below that bound,
-# which covers the supported modulus range n < 2^31.
+# which covers the supported modulus range n < MODULUS_LIMIT.
 _MR_BASES = (2, 3, 5, 7)
 _MR_LIMIT = 3_215_031_751
+MODULUS_LIMIT = 1 << 31
 
-# Below this length the schoolbook convolution beats the packing overhead.
-_KRONECKER_CUTOFF = 16
-# From this length on the decimal product beats the 64-bit Kronecker one.
-# Equal lengths n, p the least prime >= 2n + 1, best of 123 runs on a 2-vCPU
-# x86-64 host with CPython 3.11, Kronecker against decimal: 1.71 / 1.82 ms
-# at n = 1,300, 1.91 / 1.78 at 1,400, 2.13 / 1.88 at 1,500, 3.44 / 3.06 at
-# 2,000, 18.0 / 8.7 at 6,000, and 56.7 / 24.1 ms at p = 24,989.
-_DECIMAL_CUTOFF = 1500
+# Below this length the schoolbook convolution beats the packing overhead:
+# 7.9 / 8.3 us at n = 8, 13.7 / 6.4 us at 12 (best of 2,000, host as below).
+_KRONECKER_CUTOFF = 8
+# From this length on the decimal product beats the Kronecker one.  Cyclic
+# products of equal lengths n, p the least prime >= 2n + 1, best of 20-60
+# interleaved runs on a 2-vCPU x86-64 host with CPython 3.11, Kronecker
+# against decimal: 0.62 / 1.70 ms at n = 999, 3.23 / 3.60 at 3,000,
+# 6.11 / 7.09 at 4,500, 7.38 / 7.64 at 5,000, 8.06 / 8.13 at 5,300,
+# 8.59 / 8.26 at 5,500, 9.70 / 8.86 at 6,000, and 38.1 / 24.7 ms at
+# p = 24,989.
+_DECIMAL_CUTOFF = 5300
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -97,32 +101,46 @@ def primitive_root(p: int) -> int:
 
 
 def _convolution_schoolbook(u: list[int], v: list[int], p: int) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
+    n = len(u)
+    out = [0] * n
     for i, a in enumerate(u):
         if a == 0:
             continue
         for j, b in enumerate(v):
-            out[i + j] = (out[i + j] + a * b) % p
+            m = (i + j) % n
+            out[m] = (out[m] + a * b) % p
     return out
 
 
-def _convolution_kronecker(u: list[int], v: list[int], p: int) -> list[int]:
-    # Pack each sequence into one big integer, one coefficient per 64-bit
-    # word (the caller checks that the exact bound on every convolution value
-    # fits), so the integer product carries them without carries between
-    # slots.  array('Q') does the per-coefficient packing and unpacking in C.
-    n = len(u) + len(v) - 1
-    prod = _pack_words(u, p) * _pack_words(v, p)
-    raw = array("Q", prod.to_bytes(8 * n, "little"))
+def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> list[int]:
+    # Pack each sequence into one big integer, one coefficient per slot of
+    # width bytes, so the integer product carries them without carries
+    # between slots, then fold slot n + m of the product onto slot m.  A
+    # folded slot sums exactly n products, so it stays within the caller's
+    # bound n (p-1)^2 < 2^64 that sized the slots, and no carry crosses one.
+    # array('Q') and strided byte copies do the per-coefficient work in C.
+    n = len(u)
+    prod = _pack_slots(u, p, width) * _pack_slots(v, p, width)
+    bits = 8 * width * n
+    folded = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(width * n, "little")
+    words = bytearray(8 * n)
+    for j in range(width):
+        words[j::8] = folded[j::width]
+    raw = array("Q", words)
     if _BIG_ENDIAN:
         raw.byteswap()
     return [c % p for c in raw]
 
 
-def _pack_words(coeffs: list[int], p: int) -> int:
-    slots = array("Q", [c % p for c in coeffs])
+def _pack_slots(coeffs: list[int], p: int, width: int) -> int:
+    # the low width bytes of each little-endian 64-bit word, back to back
+    words = array("Q", [c % p for c in coeffs])
     if _BIG_ENDIAN:
-        slots.byteswap()
+        words.byteswap()
+    raw = words.tobytes()
+    slots = bytearray(width * len(coeffs))
+    for j in range(width):
+        slots[j::width] = raw[j::8]
     return int.from_bytes(slots, "little")
 
 
@@ -131,31 +149,38 @@ def _convolution_decimal(u: list[int], v: list[int], p: int, width: int) -> list
     # number-theoretic transform beats CPython's Karatsuba on long operands.
     # Coefficients go in and come out as zero-padded width-digit slices of
     # decimal strings (most significant slot first), so no long int is ever
-    # converted to or from str, which is quadratic in CPython 3.11.  The
-    # context is exact: a product too long for prec would raise, not round.
-    n = len(u) + len(v) - 1
+    # converted to or from str, which is quadratic in CPython 3.11.  The top
+    # n - 1 slots of the product are split off its digit string and added
+    # back onto the low n, the same fold as above.  The context is exact: a
+    # result too long for prec would raise, not round.
+    n = len(u)
     slot = f"%0{width}d"
-    a = Decimal(slot * len(u) % tuple([c % p for c in reversed(u)]))
-    b = Decimal(slot * len(v) % tuple([c % p for c in reversed(v)]))
-    ctx = Context(prec=n * width, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-    digits = str(ctx.multiply(a, b)).zfill(n * width)
+    a = Decimal(slot * n % tuple([c % p for c in reversed(u)]))
+    b = Decimal(slot * n % tuple([c % p for c in reversed(v)]))
+    ctx = Context(prec=(2 * n - 1) * width, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+    digits = str(ctx.multiply(a, b)).zfill((2 * n - 1) * width)
+    split = (n - 1) * width
+    folded = ctx.add(Decimal(digits[:split] or 0), Decimal(digits[split:]))
+    digits = str(folded).zfill(n * width)
     out = [int(digits[i:i + width]) % p for i in range(0, n * width, width)]
     out.reverse()
     return out
 
 
 def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
-    """Full convolution of coefficient sequences mod p.
+    """Cyclic convolution mod p of two sequences of one length n:
+    c_m = sum of u_i v_j over i + j == m (mod n), for m < n.
 
-    Bit-exact with the schoolbook double loop on every input; the Kronecker
-    and decimal paths are only speedups.
+    Bit-exact with the schoolbook double loop on every input, unreduced and
+    negative ones included; the Kronecker and decimal paths are only
+    speedups.  Raises ValueError unless u and v are nonempty of equal length.
     """
-    if not u or not v:
-        raise ValueError("convolution requires nonempty sequences")
-    short = min(len(u), len(v))
-    if short <= _KRONECKER_CUTOFF:
+    n = len(u)
+    if n == 0 or len(v) != n:
+        raise ValueError("cyclic convolution requires nonempty sequences of equal length")
+    if n <= _KRONECKER_CUTOFF:
         return _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
-    bound = short * (p - 1) * (p - 1)  # no convolution value exceeds it
-    if short < _DECIMAL_CUTOFF and bound < 1 << 64:
-        return _convolution_kronecker(u, v, p)
+    bound = n * (p - 1) * (p - 1)  # no folded value exceeds it
+    if n < _DECIMAL_CUTOFF and bound < 1 << 64:
+        return _convolution_kronecker(u, v, p, (bound.bit_length() + 7) // 8)
     return _convolution_decimal(u, v, p, len(str(bound)))

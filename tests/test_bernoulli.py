@@ -1,11 +1,13 @@
 import random
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cyclopair import __version__
+from cyclopair import __version__, modmath
 from cyclopair.bernoulli import (
     BernoulliRow,
     IrregularSet,
@@ -100,12 +102,12 @@ def test_voronoi_row_matches_per_k():
 
 
 def test_fast_matches_voronoi_p1009():
-    # n = 504 is far past the Kronecker cutoff, and n even takes the cyclic fold
+    # n = 504 is far past the schoolbook cutoff, and n even needs no twist
     assert bernoulli_fast_row(1009).values == bernoulli_voronoi_row(1009).values
 
 
 def test_fast_matches_voronoi_200_to_500():
-    # both folds (p == 1 and 3 mod 4) and the large primitive roots
+    # both parities of n (p == 1 and 3 mod 4) and the large primitive roots
     # 311 (g = 17), 409 (21), 439 (15), 457 and 479 (13)
     primes = [p for p in range(201, 500, 2) if is_prime(p)]
     assert {p % 4 for p in primes} == {1, 3}
@@ -133,16 +135,16 @@ def test_fast_p9829_paper_indices():
 
 
 def test_sweep_zeros_match_fast_row_below_3500():
-    # the sweep reads its zeros from the unscaled sums S_m; the range spans
-    # the decimal product's cutoff (n = 1,500 at p = 3,001)
+    # the sweep reads its zeros from the unscaled sums T_m, for both
+    # parities of n
     for p in range(5, 3500, 2):
         if is_prime(p):
             assert irregular_indices(p).indices == bernoulli_fast_row(p).zero_indices(), p
 
 
 @pytest.mark.parametrize("p, indices", [
-    (10069, (5808, 8684)),        # p == 1 mod 4: the cyclic fold
-    (10463, (158, 1862, 9500)),   # p == 3 mod 4: the negacyclic fold
+    (10069, (5808, 8684)),        # p == 1 mod 4: n even, no twist
+    (10463, (158, 1862, 9500)),   # p == 3 mod 4: n odd, twisted
     (10531, (2172, 3804)),
 ])
 def test_sweep_zeros_match_voronoi_above_10000(p, indices):
@@ -153,6 +155,34 @@ def test_sweep_zeros_match_voronoi_above_10000(p, indices):
     rng = random.Random(p)
     for k in rng.sample([k for k in range(2, p - 2, 2) if k not in indices], 20):
         assert bernoulli_voronoi(p, k) != 0, k
+
+
+@pytest.mark.parametrize("p, path", [
+    (1019, "_convolution_kronecker"),  # n = 509
+    (10663, "_convolution_decimal"),   # n = 5331, R = {9430, 9788}
+])
+def test_fast_matches_voronoi_odd_n(monkeypatch, p, path):
+    # odd n is cyclic only through the twist g^(t m); without it every sum
+    # but T_0 would be wrong
+    n = (p - 1) // 2
+    assert n % 2 == 1
+    taken = []
+    real = getattr(modmath, path)
+
+    def spy(*args):
+        taken.append(path)
+        return real(*args)
+
+    monkeypatch.setattr(modmath, path, spy)
+    row = bernoulli_fast_row(p)
+    assert taken == [path]
+    if p < 2000:
+        assert row.values == bernoulli_voronoi_row(p).values
+        return
+    assert row.zero_indices() == (9430, 9788)
+    rng = random.Random(p)
+    for k in [2, 4, p - 5, p - 3] + rng.sample(range(6, p - 5, 2), 20):
+        assert row.values[k] == bernoulli_voronoi(p, k), k
 
 
 def test_fast_row_p24989_converts_no_long_int_to_str():
@@ -298,6 +328,11 @@ def test_cache_load_accepts_valid_file(tmp_path, capsys):
     (CACHE_HEADER + "37\t36\n", "not sorted, distinct and even"),
     (CACHE_HEADER + "37\t32\n37\t-\n", "listed twice"),
     (CACHE_HEADER + "37\t32\n41\t-", "cut short"),
+    # int() takes each of these; store writes none of them
+    (CACHE_HEADER + "1_009\t-\n", "'1_009' is not a decimal integer"),
+    (CACHE_HEADER + "+7\t-\n", "'+7' is not a decimal integer"),
+    (CACHE_HEADER + "\u0667\t-\n", "is not a decimal integer"),  # Arabic-Indic 7
+    (CACHE_HEADER + "37\t4, 10\n", "' 10' is not a decimal integer"),
     ("", "no cache header"),
 ])
 def test_cache_load_rejects_whole_file(tmp_path, capsys, text, reason):
@@ -306,6 +341,34 @@ def test_cache_load_rejects_whole_file(tmp_path, capsys, text, reason):
     assert cache.load() == {}
     err = capsys.readouterr().err
     assert reason in err and "recomputing" in err
+
+
+_STORE_LOOP = """
+import ast, sys, time
+from cyclopair.cache import IrregularCache
+cache, entries = IrregularCache(sys.argv[1]), ast.literal_eval(sys.argv[2])
+start = float(sys.argv[3])
+time.sleep(max(0.0, start - time.time()))
+for _ in range(200):
+    cache.store(entries)
+"""
+
+
+def test_cache_concurrent_stores_leave_one_whole_file(tmp_path, capsys):
+    # two processes rewrite one cache directory at once, from a common start
+    # time: the file left is one writer's set, whole, and no temp file remains
+    regular = {p: () for p in range(7, 20_000) if is_prime(p)}
+    sets = (regular, {**regular, 37: (32,), 59: (44,), 67: (58,), 101: (68,)})
+    start = time.time() + 1.0
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _STORE_LOOP, str(tmp_path), repr(entries), str(start)],
+        stderr=subprocess.PIPE) for entries in sets]
+    errors = [proc.communicate(timeout=120)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert errors == [b"", b""]
+    assert IrregularCache(tmp_path).load() in sets
+    assert capsys.readouterr().err == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["irregular.tsv"]
 
 
 def test_sweep_rejects_whole_cache_on_one_bad_entry(tmp_path, capsys):

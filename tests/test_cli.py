@@ -115,10 +115,14 @@ def test_congruence_sweep_injected_violation(tmp_path):
     pytest.param("37\t31\n", 1, id="k-odd"),
     pytest.param("13\t10,4\n", 1, id="k-unsorted"),
     pytest.param("13\t4,10\n# c\n13\t4,10\n", 3, id="p-repeated"),
+    pytest.param("13\t4,10\n1_009\t-\n", 2, id="p-underscore"),
+    pytest.param("+7\t-\n", 1, id="p-plus-sign"),
+    pytest.param("13\t4,10\n\u0667\t-\n", 2, id="p-arabic-indic-digit"),
+    pytest.param("37\t4, 10\n", 1, id="k-space"),
 ])
 def test_congruence_sweep_source_rejects_bad_lines(tmp_path, text, bad_line):
     source = tmp_path / "source.tsv"
-    source.write_text(text)
+    source.write_text(text, encoding="utf-8")
     res = run_cli("congruence-sweep", "--max-p", 100, "--source", source)
     assert res.returncode == 2
     assert res.stdout == b""
@@ -233,6 +237,13 @@ def test_usage_error_exits_2():
     pytest.param(["irregular", "--max-p", "50", "--jobs", "0"], "--jobs", id="jobs"),
     pytest.param(["report", "--max-p", "50", "--jobs", "-1", "--pairing", "/dev/null"],
                  "--jobs", id="report-jobs"),
+    # above the primality test's range, rejected before the sieve allocates;
+    # never test a bound just below it, which would allocate gigabytes
+    pytest.param(["irregular", "--max-p", "4000000000"], "--max-p", id="irregular-max-p"),
+    pytest.param(["congruence-sweep", "--max-p", str(2**31 + 1)], "--max-p",
+                 id="congruence-sweep-max-p"),
+    pytest.param(["report", "--max-p", "4000000000", "--pairing", "/dev/null"], "--max-p",
+                 id="report-max-p"),
 ])
 def test_input_errors_exit_2(capsys, argv, message):
     assert cli.main(argv) == 2

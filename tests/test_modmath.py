@@ -9,7 +9,6 @@ from cyclopair.modmath import (
     _KRONECKER_CUTOFF,
     _convolution_decimal,
     _convolution_kronecker,
-    _convolution_schoolbook,
     convolution_mod,
     factorize,
     is_prime,
@@ -88,67 +87,112 @@ def test_primitive_root_orders_up_to_1000():
             assert pow(g, (p - 1) // q, p) != 1
 
 
+def cyclic_oracle(u, v, p, ms=None):
+    """c_m = sum of u_i v_j over i + j == m (mod n), straight from the
+    definition, for every m < n or for the m in ms."""
+    n = len(u)
+    return [sum(u[i] * v[(m - i) % n] for i in range(n)) % p
+            for m in (range(n) if ms is None else ms)]
+
+
+def widths(n, p):
+    """Kronecker slot bytes and decimal slot digits for length n mod p."""
+    bound = n * (p - 1) ** 2
+    return (bound.bit_length() + 7) // 8, len(str(bound))
+
+
 def test_convolution_examples():
-    assert convolution_mod([1, 1], [1, 1], 5) == [1, 2, 1]
+    assert convolution_mod([1, 1], [1, 1], 5) == [2, 2]
     assert convolution_mod([3], [4], 7) == [5]
-    assert convolution_mod([1, 2, 3], [4, 5], 7) == [4, 6, 1, 1]
+    # c_0 = 1*4 + 2*6 + 3*5, c_1 = 1*5 + 2*4 + 3*6, c_2 = 1*6 + 2*5 + 3*4
+    assert convolution_mod([1, 2, 3], [4, 5, 6], 7) == [3, 3, 0]
+    assert convolution_mod([-1, 8, 0, 2], [1, 0, 0, 0], 7) == [6, 1, 0, 2]
+
+
+@pytest.mark.parametrize("u, v", [
+    ([], []), ([], [1]), ([1], []), ([1, 2, 3], [4, 5]), ([1], [1, 2]),
+    ([0] * (_DECIMAL_CUTOFF + 1), [0] * _DECIMAL_CUTOFF),
+])
+def test_convolution_rejects_empty_or_unequal(u, v):
     with pytest.raises(ValueError):
-        convolution_mod([], [1], 7)
+        convolution_mod(u, v, 7)
 
 
-def test_convolution_matches_schoolbook_random():
+def test_convolution_matches_oracle_random():
     rng = random.Random(20240817)
     for _ in range(200):
         p = rng.choice(SMALL_PRIMES)
-        nu = rng.randint(1, 64)
-        nv = rng.randint(1, 64)
-        u = [rng.randrange(p) for _ in range(nu)]
-        v = [rng.randrange(p) for _ in range(nv)]
-        assert convolution_mod(u, v, p) == _convolution_schoolbook(u, v, p)
+        n = rng.randint(1, 64)
+        u = [rng.randrange(-5 * p, 5 * p) for _ in range(n)]
+        v = [rng.randrange(-5 * p, 5 * p) for _ in range(n)]
+        assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
 
-@given(
-    st.sampled_from([5, 7, 97]),
-    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
-    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
-)
-def test_convolution_matches_schoolbook_property(p, u, v):
-    expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
-    assert convolution_mod(u, v, p) == expected
+@given(st.sampled_from([5, 7, 97]), st.data())
+def test_convolution_matches_oracle_property(p, data):
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=n, max_size=n)
+    u, v = data.draw(coeffs), data.draw(coeffs)
+    assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
 
 def test_convolution_two_word_slots():
-    # at p = 2^31 - 1 the slot bound needs more than 64 bits, which sends
-    # every length to the decimal path; the inputs are unreduced, negative
-    # and far above p
+    # at p = 2^31 - 1 the slot bound needs more than 64 bits from n = 2 on,
+    # which sends every such length to the decimal path; the inputs are
+    # unreduced, negative and far above p
     p = 2**31 - 1
     rng = random.Random(31)
-    for nu, nv in ((_KRONECKER_CUTOFF + 1, _KRONECKER_CUTOFF + 1), (40, 75), (130, 33)):
-        u = [rng.randrange(-(2**80), 2**80) for _ in range(nu)]
-        v = [rng.choice((p - 1, -1, p * 7 + 3, rng.randrange(2**64))) for _ in range(nv)]
-        assert (min(nu, nv) * (p - 1) ** 2).bit_length() > 64
-        expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
-        assert convolution_mod(u, v, p) == expected
+    for n in (_KRONECKER_CUTOFF + 1, 40, 130):
+        u = [rng.randrange(-(2**80), 2**80) for _ in range(n)]
+        v = [rng.choice((p - 1, -1, p * 7 + 3, rng.randrange(2**64))) for _ in range(n)]
+        assert (n * (p - 1) ** 2).bit_length() > 64
+        assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
 
-def test_kronecker_and_decimal_paths_match_schoolbook():
+# one prime per Kronecker slot width from 1 to 8 bytes at lengths up to 40
+SLOT_PRIMES = SMALL_PRIMES + [65537, 1048573, 16777213, 268435399, 2**31 - 1]
+
+
+def test_kronecker_and_decimal_paths_match_oracle():
     # each fast path on its own, at short lengths and every slot width
     rng = random.Random(1500)
-    for _ in range(300):
-        p = rng.choice(SMALL_PRIMES + [2**31 - 1])
-        nu, nv = rng.randint(1, 40), rng.randint(1, 40)
-        u = [rng.randrange(-3 * p, 3 * p) for _ in range(nu)]
-        v = [rng.choice((0, -1, p - 1, rng.randrange(-3 * p, 3 * p))) for _ in range(nv)]
-        expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
-        bound = min(nu, nv) * (p - 1) ** 2
-        assert _convolution_decimal(u, v, p, len(str(bound))) == expected
-        if bound < 1 << 64:
-            assert _convolution_kronecker(u, v, p) == expected
+    seen = set()
+    for _ in range(400):
+        p = rng.choice(SLOT_PRIMES)
+        n = rng.randint(1, 40)
+        u = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
+        v = [rng.choice((0, -1, p - 1, rng.randrange(-3 * p, 3 * p))) for _ in range(n)]
+        expected = cyclic_oracle(u, v, p)
+        slot_bytes, slot_digits = widths(n, p)
+        assert _convolution_decimal(u, v, p, slot_digits) == expected
+        if slot_bytes <= 8:
+            seen.add(slot_bytes)
+            assert _convolution_kronecker(u, v, p, slot_bytes) == expected
+    # n = 1 at p = 2^31 - 1 is the one-word slot at the top of the range
+    p = 2**31 - 1
+    assert widths(1, p)[0] == 8
+    for a, b in ((p - 1, p - 1), (-1, 2**70), (p, 5)):
+        assert _convolution_kronecker([a], [b], p, 8) == [a * b % p]
+    assert seen == set(range(1, 9))
+
+
+def test_fast_paths_zero_padding():
+    # a delta times v is v: v's top residues are zero, so the product and
+    # the folded sum both print shorter than their slots on the decimal path
+    for p, n in ((101, 40), (3001, _KRONECKER_CUTOFF + 1), (24989, 300)):
+        rng = random.Random(p)
+        v = [rng.randrange(p) for _ in range(n - 3)] + [0, p, -2 * p]
+        delta = [p + 1] + [rng.choice((0, p, -p)) for _ in range(n - 1)]
+        slot_bytes, slot_digits = widths(n, p)
+        expected = [c % p for c in v]
+        assert _convolution_kronecker(delta, v, p, slot_bytes) == expected
+        assert _convolution_decimal(delta, v, p, slot_digits) == expected
+        assert convolution_mod(delta, v, p) == expected
 
 
 def _record_paths(monkeypatch):
     taken = []
-    for name in ("_convolution_kronecker", "_convolution_decimal"):
+    for name in ("_convolution_schoolbook", "_convolution_kronecker", "_convolution_decimal"):
         def spy(*args, real=getattr(modmath, name), name=name):
             taken.append(name)
             return real(*args)
@@ -156,40 +200,54 @@ def _record_paths(monkeypatch):
     return taken
 
 
-@pytest.mark.parametrize("nu, nv", [
-    (_DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF - 1),
-    (_DECIMAL_CUTOFF, _DECIMAL_CUTOFF),
-    (_DECIMAL_CUTOFF + 1, _DECIMAL_CUTOFF + 1),
-    (_DECIMAL_CUTOFF, 2 * _DECIMAL_CUTOFF + 7),
-    (2 * _DECIMAL_CUTOFF + 7, _DECIMAL_CUTOFF - 1),
+@pytest.mark.parametrize("n, path", [
+    (_KRONECKER_CUTOFF, "_convolution_schoolbook"),
+    (_KRONECKER_CUTOFF + 1, "_convolution_kronecker"),
+    (_DECIMAL_CUTOFF - 1, "_convolution_kronecker"),
+    (_DECIMAL_CUTOFF, "_convolution_decimal"),
+    (_DECIMAL_CUTOFF + 1, "_convolution_decimal"),
 ])
-def test_convolution_at_decimal_cutoff(monkeypatch, nu, nv):
-    # p = 3001 keeps every value in one 64-bit word, so the shorter length
-    # alone picks the path
+def test_convolution_at_cutoffs(monkeypatch, n, path):
+    # p = 3001 keeps every value in one 64-bit word, so the length alone
+    # picks the path
     p = 3001
     taken = _record_paths(monkeypatch)
-    rng = random.Random(nu * 7919 + nv)
+    rng = random.Random(n * 7919)
 
-    def operand(n):
+    def operand():
         # mostly residue p - 1, so the largest values reach the slot bound,
         # given unreduced and negative; the top three are zero mod p, so the
-        # product's top slots are zero and its str is shorter than the slots
+        # top slots of the unfolded product are zero and its str is shorter
+        # than the slots
         out = [rng.choice((-1, p - 1, 5 * p - 1, rng.randrange(-10**12, 10**12)))
                for _ in range(n)]
         out[-3:] = [0, p, -p]
         return out
 
-    u, v = operand(nu), operand(nv)
-    expected = _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
-    assert expected[-5:] == [0] * 5
-    assert convolution_mod(u, v, p) == expected
-    short = "_convolution_kronecker" if min(nu, nv) < _DECIMAL_CUTOFF else "_convolution_decimal"
-    assert taken == [short]
+    u, v = operand(), operand()
+    got = convolution_mod(u, v, p)
+    assert taken == [path]
+    # the schoolbook oracle in full where it is cheap; at long lengths the
+    # other fast path in full and the oracle at the ends and 60 random m
+    ms = sorted({0, 1, n - 2, n - 1, *rng.sample(range(n), min(n, 60))})
+    assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
+    slot_bytes, slot_digits = widths(n, p)
+    if path == "_convolution_decimal":
+        assert got == _convolution_kronecker(u, v, p, slot_bytes)
+    elif path == "_convolution_kronecker":
+        assert got == _convolution_decimal(u, v, p, slot_digits)
+    if n <= 2 * _KRONECKER_CUTOFF:
+        assert got == cyclic_oracle(u, v, p)
 
 
-def test_convolution_decimal_zero_operand():
-    p, n = 24989, _DECIMAL_CUTOFF + 3
-    v = [random.Random(3).randrange(p) for _ in range(n)]
+@pytest.mark.parametrize("p, n", [
+    (7, _KRONECKER_CUTOFF), (3001, _KRONECKER_CUTOFF + 5), (24989, _DECIMAL_CUTOFF + 3)])
+def test_convolution_zero_operand(p, n):
+    v = [random.Random(3).randrange(-p, p) for _ in range(n)]
     for zero in ([0] * n, [p] * n, [-p] * n):
-        assert convolution_mod(zero, v, p) == [0] * (2 * n - 1)
-        assert convolution_mod(v, zero, p) == [0] * (2 * n - 1)
+        assert convolution_mod(zero, v, p) == [0] * n
+        assert convolution_mod(v, zero, p) == [0] * n
+        assert convolution_mod(zero, zero, p) == [0] * n
+        slot_bytes, slot_digits = widths(n, p)
+        assert _convolution_kronecker(zero, v, p, slot_bytes) == [0] * n
+        assert _convolution_decimal(v, zero, p, slot_digits) == [0] * n
