@@ -107,18 +107,19 @@ def _parse_entry(line: str) -> tuple[int, tuple[int, ...]]:
     p_str, tab, k_str = line.partition("\t")
     if not tab:
         raise ValueError("no tab after p")
-    p = _digits(p_str)
+    p = decimal_int(p_str)
     if p < 7 or not is_prime(p):
         raise ValueError(f"{p} is not a prime >= 7")
-    ks = () if k_str == "-" else tuple(_digits(k) for k in k_str.split(","))
+    ks = () if k_str == "-" else tuple(decimal_int(k) for k in k_str.split(","))
     if list(ks) != sorted(set(ks)) or any(k % 2 or not 2 <= k <= p - 3 for k in ks):
         raise ValueError(f"indices are not sorted, distinct and even in [2, {p - 3}]")
     return p, ks
 
 
-def _digits(field: str) -> int:
-    # the form store writes: ASCII digits only, which int() alone would
-    # widen by signs, underscores, spaces and non-ASCII digits
+def decimal_int(field: str) -> int:
+    """The integer a field of ASCII digits spells; the form every file this
+    package reads is written in.  ``int()`` alone would also accept signs,
+    underscores, surrounding spaces and non-ASCII digits."""
     if not (field.isascii() and field.isdigit()):
         raise ValueError(f"{field!r} is not a decimal integer")
     return int(field)

@@ -32,6 +32,22 @@ its neighbours, after taking a degree-1 vertex the neighbours of its
 partner, and nothing after a component split.  The re-checks run in the
 same order as full rescans would, so the search tree is unchanged.
 
+Connectivity re-check.  Before branching, the component of the lowest
+vertex is peeled off when the mask M is not connected.  Below a branching,
+and inside a component, the search knows a connected set C containing M:
+the mask at the last branching (connected, as branching follows only a
+connected mask) or the component itself.  Let X = C - M and Y = N(X) & M.
+A BFS inside M from the lowest vertex of Y that reaches all of Y proves M
+connected: a path in C between two vertices of M leaves M only through X,
+entering X from Y and returning to Y, so each excursion can be replaced by
+a path inside M between two vertices of Y.  (Y is empty only when X is,
+as C is connected and M is not empty; then M = C.)  Conversely, if M is
+connected the BFS reaches all of Y, so the re-check is exact, and only
+when it fails does the full BFS from the lowest vertex run to peel the
+component, exactly as without the re-check.  Where no connected C is
+known (the root, and the rest of a mask after a split) the full BFS runs
+as before.
+
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
 """
@@ -97,18 +113,20 @@ def _finish(
 
 
 def _adjacency(inst: PackingInstance) -> tuple[list[int], list[int]]:
+    """Candidates and their neighbour masks, indexed by bit length: the
+    neighbours of vertex i (bit 1 << i) are ``adj[i + 1]``; ``adj[0]`` is 0."""
     verts = list(inst.candidates)
     pos = {v: i for i, v in enumerate(verts)}
     diffs = conflict_diffs(inst.shape, inst.modulus)
-    adj = [0] * len(verts)
+    adj = [0] * (len(verts) + 1)
     for i, v in enumerate(verts):
         for d in diffs:
             if d == 0:
                 continue
             j = pos.get((v + d) % inst.modulus)
             if j is not None and j != i:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+                adj[i + 1] |= 1 << j
+                adj[j + 1] |= 1 << i
     return verts, adj
 
 
@@ -117,7 +135,7 @@ def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
     chosen = 0
     while mask:
         b = mask & -mask
-        mask &= ~(b | adj[b.bit_length() - 1])
+        mask &= ~(b | adj[b.bit_length()])
         chosen |= b
         count += 1
     return count, chosen
@@ -129,13 +147,39 @@ def _cover_bound(mask: int, adj: list[int]) -> int:
     while mask:
         b = mask & -mask
         mask ^= b
-        cand = adj[b.bit_length() - 1] & mask
+        cand = adj[b.bit_length()] & mask
+        # cand stays inside mask: wb leaves both, and wb is not in adj[wb]
         while cand:
             wb = cand & -cand
             mask ^= wb
-            cand &= adj[wb.bit_length() - 1] & mask
+            cand &= adj[wb.bit_length()]
         cnt += 1
     return cnt
+
+
+def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
+    """Whether ``mask`` is connected, given that ``mask | removed`` is
+    connected and ``mask`` is nonempty (module docstring): a BFS inside
+    ``mask`` from the lowest vertex of Y = N(removed) & mask, stopped once it
+    has reached all of Y."""
+    ys = 0
+    while removed:
+        b = removed & -removed
+        removed ^= b
+        ys |= adj[b.bit_length()]
+    ys &= mask
+    seen = frontier = ys & -ys
+    while ys & ~seen:
+        if not frontier:
+            return False
+        grow = 0
+        while frontier:
+            lb = frontier & -frontier
+            frontier ^= lb
+            grow |= adj[lb.bit_length()]
+        frontier = grow & mask & ~seen
+        seen |= frontier
+    return True
 
 
 def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int, int]:
@@ -152,8 +196,9 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     # no vertex can exceed the maximum degree of the whole graph
     max_deg = max(a.bit_count() for a in adj)
 
-    def bb(mask, dirty, cur_n, cur_mask, best_n, best_mask):
-        # invariant on entry: every vertex of mask outside dirty has degree >= 2
+    def bb(mask, dirty, conn, cur_n, cur_mask, best_n, best_mask):
+        # invariant on entry: every vertex of mask outside dirty has degree
+        # >= 2, and conn is a connected set containing mask, or 0 if unknown
         nonlocal nodes
         nodes += 1
         while True:
@@ -166,7 +211,7 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                 while rem:
                     b = rem & -rem
                     rem ^= b
-                    nb = adj[b.bit_length() - 1] & mask
+                    nb = adj[b.bit_length()] & mask
                     if nb == 0:
                         cur_n += 1
                         cur_mask |= b
@@ -175,55 +220,59 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                         cur_n += 1
                         cur_mask |= b
                         mask &= ~(b | nb)
-                        touched = adj[nb.bit_length() - 1] & mask
+                        touched = adj[nb.bit_length()] & mask
                         dirty |= touched
                         rem = (rem | touched & -(b << 1)) & mask
             if mask == 0:
                 return (cur_n, cur_mask) if cur_n > best_n else (best_n, best_mask)
             if cur_n + _cover_bound(mask, adj) <= best_n:
                 return best_n, best_mask
-            # peel off the connected component of the lowest vertex
-            comp = mask & -mask
-            frontier = comp
-            while frontier:
-                grow = 0
+            if conn and _still_connected(adj, mask, conn & ~mask):
+                comp = mask
+            else:
+                # peel off the connected component of the lowest vertex
+                comp = mask & -mask
+                frontier = comp
                 while frontier:
-                    lb = frontier & -frontier
-                    frontier ^= lb
-                    grow |= adj[lb.bit_length() - 1]
-                frontier = grow & mask & ~comp
-                comp |= frontier
+                    grow = 0
+                    while frontier:
+                        lb = frontier & -frontier
+                        frontier ^= lb
+                        grow |= adj[lb.bit_length()]
+                    frontier = grow & mask & ~comp
+                    comp |= frontier
             if comp != mask:
                 # degrees inside and outside the component are unchanged
-                comp_n, comp_mask = bb(comp, 0, 0, 0, *_greedy_mask(comp, adj))
+                comp_n, comp_mask = bb(comp, 0, comp, 0, 0, *_greedy_mask(comp, adj))
                 cur_n += comp_n
                 cur_mask |= comp_mask
                 mask ^= comp
+                conn = 0
                 continue
             # branch on the first vertex of maximum degree: include
-            # recursively, then exclude it and iterate
+            # recursively, then exclude it and iterate; both sides lie in
+            # the connected mask
             rem = mask
-            pick, deg = -1, -1
+            vb, deg = 0, -1
             while rem:
                 lb = rem & -rem
                 rem ^= lb
-                v = lb.bit_length() - 1
-                d = (adj[v] & mask).bit_count()
+                d = (adj[lb.bit_length()] & mask).bit_count()
                 if d > deg:
-                    deg, pick = d, v
+                    deg, vb = d, lb
                     if d == max_deg:
                         break
-            vb = 1 << pick
-            nbrs = adj[pick] & mask
+            nbrs = adj[vb.bit_length()] & mask
             sub = mask & ~(vb | nbrs)
             second = 0
             rem = nbrs
             while rem:
                 lb = rem & -rem
                 rem ^= lb
-                second |= adj[lb.bit_length() - 1]
-            best_n, best_mask = bb(sub, second & sub, cur_n + 1,
+                second |= adj[lb.bit_length()]
+            best_n, best_mask = bb(sub, second & sub, mask, cur_n + 1,
                                    cur_mask | vb, best_n, best_mask)
+            conn = mask
             mask ^= vb
             dirty = nbrs
             nodes += 1
@@ -234,11 +283,11 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     try:
         best = _greedy_mask(mask, adj)
         if not orbits:
-            best = bb(mask, mask, 0, 0, *best)
+            best = bb(mask, mask, 0, 0, 0, *best)
         for orbit in orbits:
             vb = orbit & -orbit
-            sub = mask & ~(vb | adj[vb.bit_length() - 1])
-            best = bb(sub, sub, 1, vb, *best)
+            sub = mask & ~(vb | adj[vb.bit_length()])
+            best = bb(sub, sub, 0, 1, vb, *best)
             mask &= ~orbit
     finally:
         sys.setrecursionlimit(old_limit)

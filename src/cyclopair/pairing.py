@@ -18,9 +18,10 @@ an EligibleSet; nothing here ever invents a value.
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .bernoulli import IrregularSet
+from .cache import decimal_int
 
 
 class PairingFormatError(ValueError):
@@ -40,12 +41,14 @@ class EligibleSet:
 
     ``eligible`` holds the odd i in [1, p-2] whose e-entry is present and
     nonzero for every irregular k; ``missing`` the odd i lacking an entry for
-    some k.  ``s`` is only meaningful on complete data.
+    some k.  Both ascend; a field that holds every odd i is the ``range``
+    itself, so compare with ``tuple(...)``.  ``s`` is only meaningful on
+    complete data.
     """
 
     p: int
-    eligible: tuple[int, ...]
-    missing: tuple[int, ...]
+    eligible: Sequence[int]
+    missing: Sequence[int]
 
     @property
     def complete(self) -> bool:
@@ -123,9 +126,9 @@ def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
         if kind not in ("B", "E"):
             raise PairingFormatError(f"line {lineno}: unknown row kind {kind!r}")
         try:
-            p, a, b, value = (int(x) for x in fields[1:])
-        except ValueError:
-            raise PairingFormatError(f"line {lineno}: non-integer field") from None
+            p, a, b, value = map(decimal_int, fields[1:])
+        except ValueError as exc:
+            raise PairingFormatError(f"line {lineno}: {exc}") from None
         yield lineno, p, kind, a, b, value
 
 
@@ -179,7 +182,7 @@ def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
     p = irr.p
     odd = range(1, p - 1, 2)
     if not irr.indices:
-        return EligibleSet(p, tuple(odd), ())
+        return EligibleSet(p, odd, ())
     if table is not None and table.p != p:
         raise ValueError(f"table is for {table.p}, expected {p}")
     # one pass over the table: for each offset, how many irregular k have an
@@ -193,7 +196,7 @@ def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
             if v == 0:
                 zero.add(i)
     if not present:  # no entry for any k in R: every offset is missing
-        return EligibleSet(p, (), tuple(odd))
+        return EligibleSet(p, (), odd)
     r = len(R)
     eligible = [i for i in odd if present.get(i) == r and i not in zero]
     missing = [i for i in odd if present.get(i, 0) < r]

@@ -200,6 +200,22 @@ def test_criteria_key_outside_r_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param("E\t3_7\t5\t32\t5", id="p-underscore"),
+    pytest.param("E\t37\t+1\t32\t5", id="i-plus-sign"),
+    pytest.param("E\t37\t1\t\u0663\u0662\t5", id="k-arabic-indic-digits"),
+])
+@pytest.mark.parametrize("argv", [["criteria", "37"], ["report", "--max-p", "40"]],
+                         ids=["criteria", "report"])
+def test_pairing_rows_accept_ascii_digits_only(tmp_path, capsys, row, argv):
+    # int() alone would read each of these rows as a valid E row for p = 37
+    table = tmp_path / "table.tsv"
+    table.write_text("E\t37\t3\t32\t5\n" + row + "\n", encoding="utf-8")
+    assert cli.main([*argv, "--pairing", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cyclopair: error: ") and "line 2: " in err
+
+
 def test_report_small_deterministic():
     args = ("report", "--max-p", 300, "--pairing", FIXTURES / "exceptional.tsv")
     a = run_cli(*args)

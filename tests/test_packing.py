@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,8 +11,10 @@ from cyclopair.criteria import HypothesisFlags, height_lower_bound
 from cyclopair.packing import (
     PackingInstance,
     PackingResult,
+    _adjacency,
     _finish,
     _orbit_masks,
+    _still_connected,
     brute_force_packing,
     conflict_diffs,
     max_disjoint_translates_exact,
@@ -213,6 +216,100 @@ def test_node_counts():
     assert max_disjoint_translates_greedy(pi).nodes == 0
     assert brute_force_packing(inst(12, [2, 6], ODDS_12)).nodes == 0
     assert max_disjoint_translates_exact(inst(12, [2, 6], [])).nodes == 0
+
+
+def tree_instances():
+    # periodic (base + gZ), odd offsets with gaps (a table with zero entries)
+    # and sparse random subsets, with r = 1..4 and m <= 120
+    rng = random.Random(20261018)
+    for n in range(300):
+        m = rng.randint(8, 120)
+        shape = rng.sample(range(m), rng.randint(1, 4))
+        kind = n % 3
+        if kind == 0:
+            g = rng.choice([g for g in range(1, m) if m % g == 0])
+            base = rng.sample(range(g), rng.randint(1, g))
+            cands = [b + t * g for b in base for t in range(m // g)]
+        elif kind == 1:
+            odd = range(1, m, 2)
+            gaps = set(rng.sample(odd, rng.randint(1, max(1, len(odd) // 4))))
+            cands = [i for i in odd if i not in gaps]
+        else:
+            cands = rng.sample(range(m), rng.randint(0, m // 2))
+        yield inst(m, shape, cands)
+
+
+def test_search_tree_digest():
+    # (count, witness, nodes) of every instance, recorded before the
+    # connectivity re-check: faster nodes must leave the tree node for node
+    rows = [(res.count, res.witness, res.nodes)
+            for res in map(max_disjoint_translates_exact, tree_instances())]
+    assert sum(nodes for _, _, nodes in rows) == 135_813
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "c6639f96ca639b0eaa150c29c1143e99c14e93585ed383be2392a716e6cfecc6")
+
+
+def connected(adj, mask):
+    # reference: depth-first search over vertex indices
+    verts = [v for v in range(len(adj) - 1) if mask >> v & 1]
+    seen, stack = {verts[0]}, [verts[0]]
+    while stack:
+        v = stack.pop()
+        for w in verts:
+            if adj[v + 1] >> w & 1 and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+def component_of(adj, start, within):
+    comp, stack = 1 << start, [start]
+    while stack:
+        v = stack.pop()
+        for w in range(len(adj) - 1):
+            if adj[v + 1] >> w & 1 and within >> w & 1 and not comp >> w & 1:
+                comp |= 1 << w
+                stack.append(w)
+    return comp
+
+
+def test_still_connected_matches_full_search():
+    # random graphs, C a connected set (with edges leaving it), M a nonempty
+    # subset of C; the re-check must be exact both ways
+    rng = random.Random(86)
+    outcomes = []
+    for _ in range(1500):
+        n = rng.randint(1, 40)
+        density = rng.choice([0.05, 0.1, 0.2, 0.4])
+        adj = [0] * (n + 1)
+        for v in range(n):
+            for w in range(v):
+                if rng.random() < density:
+                    adj[v + 1] |= 1 << w
+                    adj[w + 1] |= 1 << v
+        within = rng.getrandbits(n) | 1
+        conn = component_of(adj, 0, within)
+        mask = conn & rng.getrandbits(n) or conn & -conn
+        got = _still_connected(adj, mask, conn & ~mask)
+        assert got == connected(adj, mask), (adj, conn, mask)
+        outcomes.append(got)
+    assert outcomes.count(False) >= 300 and outcomes.count(True) >= 300
+    # on the p = 491 conflict graph, without the closed neighbourhoods of
+    # a few vertices, as branching removes them
+    pi = inst(490, [292, 336, 338], range(1, 490, 2))
+    _, adj = _adjacency(pi)
+    full = (1 << len(pi.candidates)) - 1
+    assert connected(adj, full)
+    outcomes = []
+    for _ in range(300):
+        mask = full
+        for v in rng.sample(range(len(pi.candidates)), rng.randint(1, 40)):
+            mask &= ~(1 << v | adj[v + 1])
+        if mask:
+            got = _still_connected(adj, mask, full & ~mask)
+            assert got == connected(adj, mask)
+            outcomes.append(got)
+    assert outcomes.count(False) >= 30 and outcomes.count(True) >= 30
 
 
 def full_table_bound(p):
