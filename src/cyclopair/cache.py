@@ -3,9 +3,9 @@
 Format: a comment header recording the tool version, then one line per
 swept prime, ``p<TAB>k1,k2,...`` with ``-`` for an empty index list, sorted
 by p.  The cache is auditable and mergeable by hand.  Nothing in it is
-trusted before it is validated: a file from another tool version, with a
-malformed entry or cut short by a truncated write is reported and ignored
-as a whole.
+trusted before it is validated: a file that is not UTF-8, from another
+tool version, with a malformed entry or cut short by a truncated write is
+reported and ignored as a whole.
 """
 
 import contextlib
@@ -30,14 +30,16 @@ class IrregularCache:
     def load(self) -> dict[int, tuple[int, ...]]:
         """All cached entries, or {} (with a report) when unreadable or invalid."""
         try:
-            text = self.path.read_text()
+            return self._parse(self.path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return {}
         except OSError as exc:
             print(f"cyclopair: cache unreadable, recomputing: {exc}", file=sys.stderr)
             return {}
-        try:
-            return self._parse(text)
+        except UnicodeDecodeError as exc:
+            print(f"cyclopair: cache corrupt at {self.path}: not UTF-8 "
+                  f"(byte {exc.start}: {exc.reason}), recomputing", file=sys.stderr)
+            return {}
         except ValueError as exc:
             print(f"cyclopair: cache {exc}, recomputing", file=sys.stderr)
             return {}
@@ -68,7 +70,7 @@ class IrregularCache:
             fd, tmp = tempfile.mkstemp(
                 prefix="irregular.", suffix=".tmp", dir=self.path.parent)
             try:
-                with os.fdopen(fd, "w") as out:
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
                     out.write("".join(line + "\n" for line in lines))
                 os.replace(tmp, self.path)
             except BaseException:

@@ -6,7 +6,8 @@ set on the conflict graph over the candidate offsets.  The exact solver is
 a branch and bound over bitmasks: degree-0/1 vertices are taken outright,
 connected components are solved separately, branching picks the first
 vertex of maximum degree, and subtrees die against a greedy clique-cover
-bound.  The ascending greedy solution seeds the incumbent.
+bound sharpened by unit propagation.  The ascending greedy solution seeds
+the incumbent.
 
 Orbit rule.  A conflict depends only on i - i', so a translation t with
 I + t = I maps packings to packings of the same size.  Let g be the period
@@ -47,6 +48,25 @@ when it fails does the full BFS from the lowest vertex run to peel the
 component, exactly as without the re-check.  Where no connected C is
 known (the root, and the rest of a mask after a split) the full BFS runs
 as before.
+
+Unit propagation.  A subtree with c vertices chosen dies when alpha of
+its mask is at most best - c, the limit L.  The greedy cover's cliques
+partition the mask and a packing meets each clique at most once, so a
+cover of at most L cliques proves it.  At exactly L + 1 cliques, a packing
+of size L + 1 must meet every clique (Li and Quan's MaxSAT view of a
+colouring, AAAI 2010).  Such a packing contains the vertex u of a
+singleton clique, so it avoids N(u); a clique left with one vertex w
+outside the excluded set then forces w, whose neighbours are excluded in
+turn, and by induction the packing contains every forced vertex.  A
+clique left empty therefore refutes it, and alpha <= L.  Propagation
+starts from all singletons at once: from any one of them the first pass
+forces the others (a greedy singleton has no neighbour in a later
+clique), and whether a clique empties does not depend on the order.  A
+cover of L + 2 or more cliques is not examined.  A stronger bound cannot
+change the count, nor the witness: that is the first leaf of the fixed
+search order reaching d, and while best < d every ancestor of it has
+alpha >= d - c > best - c, so no valid bound prunes it; the search tree
+only loses subtrees.
 
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
@@ -141,20 +161,49 @@ def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
     return count, chosen
 
 
-def _cover_bound(mask: int, adj: list[int]) -> int:
-    # greedy clique cover of the remaining vertices; cover size >= alpha
-    cnt = 0
+def _cover_bound(mask: int, adj: list[int], limit: int) -> bool:
+    """Whether alpha(mask) <= limit is proved: by a greedy clique cover of
+    at most ``limit`` cliques, or, at exactly ``limit + 1``, by unit
+    propagation refuting a packing that meets every clique (module
+    docstring)."""
+    # keep the cliques of two or more vertices; a singleton is forced at
+    # once, as from any one singleton the first pass forces the others
+    size = 0
+    pending = []
+    excluded = 0
     while mask:
         b = mask & -mask
         mask ^= b
+        clique = b
         cand = adj[b.bit_length()] & mask
         # cand stays inside mask: wb leaves both, and wb is not in adj[wb]
         while cand:
             wb = cand & -cand
             mask ^= wb
+            clique |= wb
             cand &= adj[wb.bit_length()]
-        cnt += 1
-    return cnt
+        if size > limit:
+            return False
+        size += 1
+        if clique == b:
+            excluded |= adj[b.bit_length()]
+        else:
+            pending.append(clique)
+    if size <= limit:
+        return True
+    while True:
+        rest = []
+        for clique in pending:
+            left = clique & ~excluded
+            if not left:
+                return True
+            if left & (left - 1):
+                rest.append(clique)
+            else:
+                excluded |= adj[left.bit_length()]
+        if len(rest) == len(pending):
+            return False
+        pending = rest
 
 
 def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
@@ -225,7 +274,7 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                         rem = (rem | touched & -(b << 1)) & mask
             if mask == 0:
                 return (cur_n, cur_mask) if cur_n > best_n else (best_n, best_mask)
-            if cur_n + _cover_bound(mask, adj) <= best_n:
+            if _cover_bound(mask, adj, best_n - cur_n):
                 return best_n, best_mask
             if conn and _still_connected(adj, mask, conn & ~mask):
                 comp = mask

@@ -95,6 +95,21 @@ def test_irregular_cache_corruption_warns(tmp_path):
     assert b"corrupt" in res.stderr
 
 
+def test_irregular_cache_not_utf8_recomputed(tmp_path):
+    run_cli("irregular", "--max-p", 60, "--cache", tmp_path)
+    cache_file = tmp_path / "irregular.tsv"
+    good = cache_file.read_bytes()
+    cache_file.write_bytes(good.replace(b"\t32\n", b"\t3\xff\n"))
+    res = run_cli("irregular", "--max-p", 50, "--cache", tmp_path)
+    assert res.returncode == 0
+    assert res.stdout == b"37\t32\n"
+    assert b"corrupt" in res.stderr and b"not UTF-8" in res.stderr
+    assert b"Traceback" not in res.stderr
+    # the recomputed entries (every p < 50) replace the undecodable file
+    assert good.startswith(cache_file.read_bytes())
+    cache_file.read_text(encoding="utf-8")
+
+
 def test_congruence_sweep_clean():
     res = run_cli("congruence-sweep", "--max-p", 200)
     assert res.returncode == 0

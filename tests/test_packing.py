@@ -12,6 +12,7 @@ from cyclopair.packing import (
     PackingInstance,
     PackingResult,
     _adjacency,
+    _cover_bound,
     _finish,
     _orbit_masks,
     _still_connected,
@@ -240,13 +241,91 @@ def tree_instances():
 
 
 def test_search_tree_digest():
-    # (count, witness, nodes) of every instance, recorded before the
-    # connectivity re-check: faster nodes must leave the tree node for node
-    rows = [(res.count, res.witness, res.nodes)
-            for res in map(max_disjoint_translates_exact, tree_instances())]
-    assert sum(nodes for _, _, nodes in rows) == 135_813
+    # (count, witness) of every instance, recorded before unit propagation
+    # joined the bound: a stronger valid bound leaves both unchanged
+    results = list(map(max_disjoint_translates_exact, tree_instances()))
+    rows = [(res.count, res.witness) for res in results]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "c6639f96ca639b0eaa150c29c1143e99c14e93585ed383be2392a716e6cfecc6")
+        "9ea5f4f0d9dcc4dc30e11f0fbad38100836544009790740b973d448a7adb8c7c")
+    # the search tree is deterministic; a change to its size should be deliberate
+    assert sum(res.nodes for res in results) == 48_734
+
+
+def greedy_cover_size(adj, mask):
+    # reference: the number of greedy cliques, lowest vertex first
+    size = 0
+    while mask:
+        clique = mask & -mask
+        for v in range(len(adj) - 1):
+            if mask >> v & 1 and adj[v + 1] & clique == clique:
+                clique |= 1 << v
+        mask &= ~clique
+        size += 1
+    return size
+
+
+def check_cover_bound(pi, adj, mask):
+    # _cover_bound may claim alpha <= limit only when brute force agrees,
+    # and must whenever the greedy cover alone shows it; returns whether
+    # unit propagation proved a limit the cover did not
+    verts = pi.candidates
+    alpha = brute_force_packing(inst(pi.modulus, pi.shape, [
+        verts[v] for v in range(len(verts)) if mask >> v & 1])).count
+    cover = greedy_cover_size(adj, mask)
+    for limit in range(-1, mask.bit_count() + 1):
+        proved = _cover_bound(mask, adj, limit)
+        assert not proved or alpha <= limit, (pi, mask, limit)
+        assert proved or limit < cover, (pi, mask, limit)
+    return _cover_bound(mask, adj, cover - 1)
+
+
+def test_cover_bound_never_exceeds_alpha_random():
+    rng = random.Random(3141)
+    sharpened = 0
+    for _ in range(400):
+        m = rng.randint(6, 60)
+        pi = inst(m, rng.sample(range(m), rng.randint(2, 4)),
+                  rng.sample(range(m), rng.randint(1, min(m, 40))))
+        _, adj = _adjacency(pi)
+        n = len(pi.candidates)
+        mask = sum(1 << v for v in rng.sample(range(n), min(n, rng.randint(1, 20))))
+        sharpened += check_cover_bound(pi, adj, mask)
+    assert sharpened >= 30
+
+
+def test_cover_bound_never_exceeds_alpha_491():
+    # local patches of the p = 491 conflict graph (a triangular lattice):
+    # the nearest <= 20 vertices to a random one, less a few
+    pi = inst(490, [292, 336, 338], range(1, 490, 2))
+    _, adj = _adjacency(pi)
+    rng = random.Random(491)
+    sharpened = 0
+    for _ in range(100):
+        ball = frontier = 1 << rng.randrange(len(pi.candidates))
+        while frontier and ball.bit_count() < 20:
+            grow = 0
+            for v in range(len(adj) - 1):
+                if frontier >> v & 1:
+                    grow |= adj[v + 1]
+            frontier = grow & ~ball
+            ball |= frontier
+        verts = [v for v in range(len(adj) - 1) if ball >> v & 1][:20]
+        keep = rng.sample(verts, rng.randint(len(verts) // 2, len(verts)))
+        sharpened += check_cover_bound(pi, adj, sum(1 << v for v in keep))
+    assert sharpened >= 25
+
+
+def test_cover_bound_five_cycle():
+    # R = {0, 1} in Z/5 makes the conflict graph the 5-cycle 0-1-2-3-4-0.
+    # The greedy cover {0, 1}, {2, 3}, {4} has 3 cliques and alpha = 2: the
+    # singleton 4 excludes 0 and 3, which forces 1, which empties {2, 3}
+    pi = inst(5, [0, 1], range(5))
+    _, adj = _adjacency(pi)
+    full = (1 << 5) - 1
+    assert greedy_cover_size(adj, full) == 3
+    assert [_cover_bound(full, adj, limit) for limit in range(-1, 4)] == [
+        False, False, False, True, True]
+    assert max_disjoint_translates_exact(pi).count == 2
 
 
 def connected(adj, mask):
@@ -312,35 +391,56 @@ def test_still_connected_matches_full_search():
     assert outcomes.count(False) >= 30 and outcomes.count(True) >= 30
 
 
-def full_table_bound(p):
+def synth_table_bound(p, zero_keys=()):
     irr = irregular_indices(p)
-    elig = eligible_set(irr, synth_table(p, irr, seed=11))
+    elig = eligible_set(irr, synth_table(p, irr, zero_keys, seed=11))
     return irr, height_lower_bound(irr, elig, HypothesisFlags.defaults_for(p))
+
+
+def solved_nodes(monkeypatch):
+    # the node count of each exact solve the report path makes from now on
+    nodes = []
+
+    def solve(pi):
+        res = max_disjoint_translates_exact(pi)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(criteria, "max_disjoint_translates_exact", solve)
+    return nodes
 
 
 def test_full_table_491(monkeypatch):
     # the hardest full table below 500 (r = 3): one orbit under the period 2
-    solved = []
-
-    def solve(pi):
-        solved.append(max_disjoint_translates_exact(pi))
-        return solved[-1]
-
-    monkeypatch.setattr(criteria, "max_disjoint_translates_exact", solve)
-    irr, bound = full_table_bound(491)
+    nodes = solved_nodes(monkeypatch)
+    irr, bound = synth_table_bound(491)
     assert irr.indices == (292, 336, 338)
     assert (bound.d, bound.bound_exact) == (76, 77)
     assert len(bound.witness) == 76
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
     # the search tree is deterministic; a change to its size should be deliberate
-    assert [res.nodes for res in solved] == [18_330]
+    assert nodes == [3_452]
+
+
+def test_gapped_table_491(monkeypatch):
+    # one zero entry e(1, 292) takes offset 1 out and breaks the period, so
+    # the orbit rule does not apply and the plain branch and bound runs
+    nodes = solved_nodes(monkeypatch)
+    irr, bound = synth_table_bound(491, [(1, 292)])
+    assert (bound.d, bound.bound_exact) == (76, 77)
+    assert 1 not in bound.witness
+    assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
+    # recorded before unit propagation joined the bound, which cannot move it
+    assert hashlib.sha256(repr(bound.witness).encode()).hexdigest() == (
+        "2aa6fba7fce456b9279360d27c20596b949e6b97b611c955e404a7534f45c0df")
+    assert nodes == [12_381]
 
 
 @pytest.mark.parametrize("p", [157, 353, 379, 467])
 def test_full_table_r2_cycle_formula(p):
     # R = {k, k'}: the only conflicts are i ~ i +- (k' - k), so the graph on
     # the odd offsets is a union of cycles and d is the sum of floor(len/2)
-    irr, bound = full_table_bound(p)
+    irr, bound = synth_table_bound(p)
     assert irr.r == 2
     m, step = p - 1, irr.indices[1] - irr.indices[0]
     unseen, expected = set(range(1, m, 2)), 0
