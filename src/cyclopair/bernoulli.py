@@ -32,7 +32,6 @@ B_k == 0 iff T_m == 0: the irregular sweep reads its zeros straight from
 the convolution, without scaling it into B_k.
 """
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -249,9 +248,14 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
         known = dict(cache.load())
     todo = [p for p in primes if p not in known]
     if todo:
+        # no more workers than primes; a pool of one would only add a fork
+        jobs = min(jobs, len(todo))
         if jobs == 1:
             computed = [_sweep_worker(p) for p in todo]
         else:
+            # imported here, as only a pool needs it
+            import multiprocessing
+
             chunk = max(1, len(todo) // (jobs * 8))
             # largest (slowest) primes first, so no long task is left for
             # the end while the other workers idle; known restores the order

@@ -6,8 +6,8 @@ set on the conflict graph over the candidate offsets.  The exact solver is
 a branch and bound over bitmasks: degree-0/1 vertices are taken outright,
 connected components are solved separately, branching picks the first
 vertex of maximum degree, and subtrees die against a greedy clique-cover
-bound sharpened by unit propagation.  The ascending greedy solution seeds
-the incumbent.
+bound sharpened by disjoint inconsistent clique sets.  The ascending
+greedy solution seeds the incumbent.
 
 Orbit rule.  A conflict depends only on i - i', so a translation t with
 I + t = I maps packings to packings of the same size.  Let g be the period
@@ -49,24 +49,37 @@ component, exactly as without the re-check.  Where no connected C is
 known (the root, and the rest of a mask after a split) the full BFS runs
 as before.
 
-Unit propagation.  A subtree with c vertices chosen dies when alpha of
-its mask is at most best - c, the limit L.  The greedy cover's cliques
-partition the mask and a packing meets each clique at most once, so a
-cover of at most L cliques proves it.  At exactly L + 1 cliques, a packing
-of size L + 1 must meet every clique (Li and Quan's MaxSAT view of a
-colouring, AAAI 2010).  Such a packing contains the vertex u of a
-singleton clique, so it avoids N(u); a clique left with one vertex w
-outside the excluded set then forces w, whose neighbours are excluded in
-turn, and by induction the packing contains every forced vertex.  A
-clique left empty therefore refutes it, and alpha <= L.  Propagation
-starts from all singletons at once: from any one of them the first pass
-forces the others (a greedy singleton has no neighbour in a later
-clique), and whether a clique empties does not depend on the order.  A
-cover of L + 2 or more cliques is not examined.  A stronger bound cannot
-change the count, nor the witness: that is the first leaf of the fixed
-search order reaching d, and while best < d every ancestor of it has
-alpha >= d - c > best - c, so no valid bound prunes it; the search tree
-only loses subtrees.
+Inconsistent clique sets.  A subtree with c vertices chosen dies when
+alpha of its mask is at most best - c, the limit L.  The greedy cover's s
+cliques partition the mask and a packing meets each clique at most once,
+so s <= L proves it.  Call a set of cover cliques inconsistent when no
+packing meets all of them.  Given k pairwise disjoint inconsistent sets, a
+packing misses at least one clique of each, and these are k distinct
+cliques, so it has at most s - k vertices: k = s - L sets prove alpha <= L
+(Li and Quan's MaxSAT view of a colouring, AAAI 2010; Li, Fang and Xu,
+ICTAI 2013).  Disjointness is what makes the misses distinct: if two sets
+share a clique, a packing may miss that one clique alone, a single miss
+for both sets.  Each round of unit propagation looks for one set among the
+live cliques, those in no set found so far, assuming a packing P meets
+every one of them.  P then contains the vertex of each live singleton; a
+forced vertex excludes its neighbours, and a live clique left with one
+vertex outside the excluded set forces that vertex.  A live clique left
+empty is a conflict, and its reason set is the emptied clique plus,
+transitively, each clique whose forced vertex first excluded one of the
+vertices of a clique already in the set.  The reason set is inconsistent:
+let P meet each of its cliques.  By induction in the order of forcing, P
+contains the forced vertex w of each clique Q in the set: every other
+vertex of Q was first excluded, earlier, by the forced vertex of a clique
+in the set, which lies in P, so the one vertex of Q that P can hold is w.
+Then every vertex of the emptied clique has a neighbour in P, and P misses
+that clique, a contradiction.  The set is marked dead and the next round
+starts again from the live singletons; a round without a conflict leaves
+the bound unproved.  The cover is built only up to L + _CAP cliques.  With
+k = 1 this is plain unit propagation: a packing of L + 1 vertices must
+meet every clique.  A stronger bound cannot change the count, nor the
+witness: that is the first leaf of the fixed search order reaching d, and
+while best < d every ancestor of it has alpha >= d - c > best - c, so no
+valid bound prunes it; the search tree only loses subtrees.
 
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
@@ -161,49 +174,90 @@ def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
     return count, chosen
 
 
+# The cover is examined up to this many cliques over the limit, so a proof
+# takes at most this many disjoint sets.  The p = 491 solve, full table /
+# zero entry at (1, 292), best of 9 interleaved runs on a 2-vCPU x86-64 host
+# with CPython 3.11 (1 is plain unit propagation):
+#   cap 1: 3,452 / 12,381 nodes, 304 / 1,053 ms
+#   cap 2: 1,646 /  4,721 nodes, 140 /   461 ms
+#   cap 3: 1,368 /  3,659 nodes, 117 /   375 ms
+#   cap 4: 1,342 /  3,549 nodes, 128 /   391 ms
+#   cap 8: 1,342 /  3,549 nodes, 123 /   414 ms
+_CAP = 3
+
+
 def _cover_bound(mask: int, adj: list[int], limit: int) -> bool:
     """Whether alpha(mask) <= limit is proved: by a greedy clique cover of
-    at most ``limit`` cliques, or, at exactly ``limit + 1``, by unit
-    propagation refuting a packing that meets every clique (module
-    docstring)."""
-    # keep the cliques of two or more vertices; a singleton is forced at
-    # once, as from any one singleton the first pass forces the others
-    size = 0
-    pending = []
-    excluded = 0
+    s <= limit cliques, or, when limit < s <= limit + _CAP, by s - limit
+    disjoint sets of its cliques that no packing meets in full, each found
+    by unit propagation (module docstring)."""
+    live = mask  # the vertices of the cliques outside every set found
+    cliques = []
+    singles = []
+    owner = [0] * len(adj)  # the clique of each vertex, by bit length
+    q = 0
     while mask:
+        if q == limit + _CAP:
+            return False
         b = mask & -mask
         mask ^= b
         clique = b
-        cand = adj[b.bit_length()] & mask
+        i = b.bit_length()
+        owner[i] = q
+        cand = adj[i] & mask
         # cand stays inside mask: wb leaves both, and wb is not in adj[wb]
         while cand:
             wb = cand & -cand
             mask ^= wb
             clique |= wb
-            cand &= adj[wb.bit_length()]
-        if size > limit:
-            return False
-        size += 1
+            i = wb.bit_length()
+            owner[i] = q
+            cand &= adj[i]
         if clique == b:
-            excluded |= adj[b.bit_length()]
+            singles.append(q)
+        cliques.append(clique)
+        q += 1
+    sets = q - limit  # the disjoint sets still to find
+    while sets > 0:
+        # force the vertex of each live singleton, then of each live clique
+        # left with one vertex outside the excluded set, in turn; the log
+        # holds each forcing as (clique, its other vertices, the live
+        # vertices it excluded first)
+        forced = [q for q in singles if cliques[q] & live]
+        excluded = 0
+        log = []
+        empty = -1
+        for q in forced:
+            clique = cliques[q]
+            vb = clique & ~excluded
+            new = adj[vb.bit_length()] & live & ~excluded
+            excluded |= new
+            log.append((q, clique ^ vb, new))
+            while new:
+                r = owner[(new & -new).bit_length()]
+                new &= ~cliques[r]
+                left = cliques[r] & ~excluded
+                if not left:
+                    empty = r
+                    break
+                if not left & (left - 1):
+                    forced.append(r)
+            if empty >= 0:
+                break
         else:
-            pending.append(clique)
-    if size <= limit:
-        return True
-    while True:
-        rest = []
-        for clique in pending:
-            left = clique & ~excluded
-            if not left:
-                return True
-            if left & (left - 1):
-                rest.append(clique)
-            else:
-                excluded |= adj[left.bit_length()]
-        if len(rest) == len(pending):
             return False
-        pending = rest
+        sets -= 1
+        if sets:
+            # mark the set dead: the emptied clique and, back through the
+            # log, each clique whose forced vertex first excluded a vertex
+            # still to explain
+            need = cliques[empty]
+            live &= ~need
+            for q, others, new in reversed(log):
+                if new & need:
+                    live &= ~cliques[q]
+                    need = need & ~new | others
+    return True
 
 
 def _still_connected(adj: list[int], mask: int, removed: int) -> bool:

@@ -266,6 +266,27 @@ def test_sweep_cache_roundtrip(tmp_path):
     assert first == second
 
 
+def test_sweep_one_prime_left_runs_in_process(tmp_path, monkeypatch):
+    # a cache lacking one prime leaves one task: jobs=8 forks no pool for it
+    import multiprocessing
+
+    cache = IrregularCache(tmp_path)
+    full = list(irregular_sweep(200, cache=cache))
+    entries = cache.load()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    cache.store({p: k for p, k in entries.items() if p != 157})
+    assert list(irregular_sweep(200, jobs=8, cache=cache)) == full
+    assert cache.load() == entries
+    # with two primes left the pool is used, so the patch does take effect
+    cache.store({p: k for p, k in entries.items() if p not in (157, 199)})
+    with pytest.raises(AssertionError, match="pool was started"):
+        list(irregular_sweep(200, jobs=8, cache=cache))
+
+
 def test_sweep_cache_corruption_recovers(tmp_path, capsys):
     cache = IrregularCache(tmp_path)
     list(irregular_sweep(60, cache=cache))

@@ -248,7 +248,7 @@ def test_search_tree_digest():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "9ea5f4f0d9dcc4dc30e11f0fbad38100836544009790740b973d448a7adb8c7c")
     # the search tree is deterministic; a change to its size should be deliberate
-    assert sum(res.nodes for res in results) == 48_734
+    assert sum(res.nodes for res in results) == 22_269
 
 
 def greedy_cover_size(adj, mask):
@@ -266,53 +266,107 @@ def greedy_cover_size(adj, mask):
 
 def check_cover_bound(pi, adj, mask):
     # _cover_bound may claim alpha <= limit only when brute force agrees,
-    # and must whenever the greedy cover alone shows it; returns whether
-    # unit propagation proved a limit the cover did not
+    # must whenever the greedy cover alone shows it, and proves every limit
+    # above one it proves; returns the number of disjoint inconsistent sets
+    # its strongest proof used, the cover size less the least limit proved
     verts = pi.candidates
     alpha = brute_force_packing(inst(pi.modulus, pi.shape, [
         verts[v] for v in range(len(verts)) if mask >> v & 1])).count
     cover = greedy_cover_size(adj, mask)
-    for limit in range(-1, mask.bit_count() + 1):
-        proved = _cover_bound(mask, adj, limit)
-        assert not proved or alpha <= limit, (pi, mask, limit)
-        assert proved or limit < cover, (pi, mask, limit)
-    return _cover_bound(mask, adj, cover - 1)
+    proved = [_cover_bound(mask, adj, limit)
+              for limit in range(-1, mask.bit_count() + 1)]
+    for limit, ok in enumerate(proved, -1):
+        assert not ok or alpha <= limit, (pi, mask, limit)
+        assert ok or limit < cover, (pi, mask, limit)
+    least = proved.index(True) - 1
+    assert all(proved[least + 1:]), (pi, mask)
+    return cover - least
+
+
+def random_mask(rng, n, size):
+    return sum(1 << v for v in rng.sample(range(n), min(n, size)))
+
+
+def patch_491(rng, adj, size):
+    # a local patch of the p = 491 conflict graph (a triangular lattice):
+    # the nearest <= size vertices to a random one, less a few
+    ball = frontier = 1 << rng.randrange(len(adj) - 1)
+    while frontier and ball.bit_count() < size:
+        grow = 0
+        for v in range(len(adj) - 1):
+            if frontier >> v & 1:
+                grow |= adj[v + 1]
+        frontier = grow & ~ball
+        ball |= frontier
+    verts = [v for v in range(len(adj) - 1) if ball >> v & 1][:size]
+    return sum(1 << v for v in rng.sample(verts, rng.randint(len(verts) // 2, len(verts))))
+
+
+def deficient(pi, adj, draw):
+    # the first of 20 masks from draw() whose greedy cover exceeds alpha,
+    # by brute force, or 0
+    verts = pi.candidates
+    for _ in range(20):
+        mask = draw()
+        alpha = brute_force_packing(inst(pi.modulus, pi.shape, [
+            verts[v] for v in range(len(verts)) if mask >> v & 1])).count
+        if alpha < greedy_cover_size(adj, mask):
+            return mask
+    return 0
+
+
+def doubled(pi, a, b):
+    # 2R in Z/2m over 2I and 2I + 1: two copies of the conflict graph of pi
+    # (vertex v of pi is 2v in the first, 2v + 1 in the second) between
+    # which no translates meet; returns it, its adjacency, and the mask of a
+    # in the first copy joined with b in the second
+    twice = inst(2 * pi.modulus, [2 * x for x in pi.shape],
+                 [2 * i + c for i in pi.candidates for c in (0, 1)])
+    _, adj = _adjacency(twice)
+    spread = [sum(1 << 2 * v + c for v in range(len(pi.candidates)) if mask >> v & 1)
+              for mask, c in ((a, 0), (b, 1))]
+    return twice, adj, spread[0] | spread[1]
 
 
 def test_cover_bound_never_exceeds_alpha_random():
     rng = random.Random(3141)
-    sharpened = 0
+    sets = []
     for _ in range(400):
         m = rng.randint(6, 60)
         pi = inst(m, rng.sample(range(m), rng.randint(2, 4)),
                   rng.sample(range(m), rng.randint(1, min(m, 40))))
         _, adj = _adjacency(pi)
+        sets.append(check_cover_bound(pi, adj, random_mask(
+            rng, len(pi.candidates), rng.randint(1, 20))))
+    assert sum(k >= 1 for k in sets) >= 30
+    # two masks of <= 8 vertices whose covers exceed alpha, disjoint in a
+    # doubled instance: a proof of the joint deficit needs two sets
+    twos = []
+    while len(twos) < 100:
+        m = rng.randint(6, 60)
+        pi = inst(m, rng.sample(range(m), rng.randint(2, 4)),
+                  rng.sample(range(m), rng.randint(6, min(m, 40))))
+        _, adj = _adjacency(pi)
         n = len(pi.candidates)
-        mask = sum(1 << v for v in rng.sample(range(n), min(n, rng.randint(1, 20))))
-        sharpened += check_cover_bound(pi, adj, mask)
-    assert sharpened >= 30
+        a, b = (deficient(pi, adj, lambda: random_mask(rng, n, rng.randint(4, 8)))
+                for _ in range(2))
+        if a and b:
+            twos.append(check_cover_bound(*doubled(pi, a, b)))
+    assert sum(k >= 2 for k in sets + twos) >= 75
 
 
 def test_cover_bound_never_exceeds_alpha_491():
-    # local patches of the p = 491 conflict graph (a triangular lattice):
-    # the nearest <= 20 vertices to a random one, less a few
     pi = inst(490, [292, 336, 338], range(1, 490, 2))
     _, adj = _adjacency(pi)
     rng = random.Random(491)
-    sharpened = 0
-    for _ in range(100):
-        ball = frontier = 1 << rng.randrange(len(pi.candidates))
-        while frontier and ball.bit_count() < 20:
-            grow = 0
-            for v in range(len(adj) - 1):
-                if frontier >> v & 1:
-                    grow |= adj[v + 1]
-            frontier = grow & ~ball
-            ball |= frontier
-        verts = [v for v in range(len(adj) - 1) if ball >> v & 1][:20]
-        keep = rng.sample(verts, rng.randint(len(verts) // 2, len(verts)))
-        sharpened += check_cover_bound(pi, adj, sum(1 << v for v in keep))
-    assert sharpened >= 25
+    sets = [check_cover_bound(pi, adj, patch_491(rng, adj, 20)) for _ in range(100)]
+    assert sum(k >= 1 for k in sets) >= 25
+    twos = []
+    while len(twos) < 100:
+        a, b = (deficient(pi, adj, lambda: patch_491(rng, adj, 8)) for _ in range(2))
+        if a and b:
+            twos.append(check_cover_bound(*doubled(pi, a, b)))
+    assert sum(k >= 2 for k in sets + twos) >= 75
 
 
 def test_cover_bound_five_cycle():
@@ -326,6 +380,22 @@ def test_cover_bound_five_cycle():
     assert [_cover_bound(full, adj, limit) for limit in range(-1, 4)] == [
         False, False, False, True, True]
     assert max_disjoint_translates_exact(pi).count == 2
+
+
+def test_cover_bound_two_five_cycles():
+    # R = {0, 2} in Z/10: the evens and the odds are two disjoint 5-cycles.
+    # The greedy cover {0, 2}, {1, 3}, {4, 6}, {5, 7}, {8}, {9} has 6 cliques
+    # and alpha = 4.  The first round empties {4, 6} through {8} and the
+    # {0, 2} it forces; the second, on the odd cycle alone, empties {5, 7}
+    # through {9} and {1, 3}.  No clique is left for a third, so limit 3
+    # is not proved
+    pi = inst(10, [0, 2], range(10))
+    _, adj = _adjacency(pi)
+    full = (1 << 10) - 1
+    assert greedy_cover_size(adj, full) == 6
+    assert brute_force_packing(pi).count == 4
+    assert [_cover_bound(full, adj, limit) for limit in range(-1, 7)] == [
+        False, False, False, False, False, True, True, True]
 
 
 def connected(adj, mask):
@@ -419,7 +489,7 @@ def test_full_table_491(monkeypatch):
     assert len(bound.witness) == 76
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
     # the search tree is deterministic; a change to its size should be deliberate
-    assert nodes == [3_452]
+    assert nodes == [1_368]
 
 
 def test_gapped_table_491(monkeypatch):
@@ -433,7 +503,21 @@ def test_gapped_table_491(monkeypatch):
     # recorded before unit propagation joined the bound, which cannot move it
     assert hashlib.sha256(repr(bound.witness).encode()).hexdigest() == (
         "2aa6fba7fce456b9279360d27c20596b949e6b97b611c955e404a7534f45c0df")
-    assert nodes == [12_381]
+    assert nodes == [3_659]
+
+
+def test_two_percent_zeros_491(monkeypatch):
+    # 2 % of the entries zero, seeded: d = 75, as before disjoint sets
+    # joined the bound
+    nodes = solved_nodes(monkeypatch)
+    irr = irregular_indices(491)
+    keys = [(i, k) for i in range(1, 490, 2) for k in irr.indices]
+    zeros = random.Random(2).sample(keys, len(keys) // 50)
+    _, bound = synth_table_bound(491, zeros)
+    assert (bound.d, bound.bound_exact) == (75, 76)
+    assert not {i for i, _ in zeros} & set(bound.witness)
+    assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
+    assert nodes == [3_627]
 
 
 @pytest.mark.parametrize("p", [157, 353, 379, 467])
