@@ -8,6 +8,8 @@ OSError); any other exception is a bug and prints its traceback.
 """
 
 import argparse
+import contextlib
+import hashlib
 import os
 import sys
 import traceback
@@ -27,8 +29,8 @@ from .cache import IrregularCache, read_entries
 from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 from .eigenstructure import congruence_sweep
 from .modmath import MODULUS_LIMIT, require_odd_prime
-from .pairing import PairingFormatError, parse_pairing_file
-from .report import build_report, table_digest
+from .pairing import PairingFormatError, parse_pairing_file, read_chunks
+from .report import build_report, digest_of
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 
@@ -65,10 +67,15 @@ def _sweep(args):
     return irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
 
 
-def _read_input(path: str) -> bytes:
+def _open_input(path: str):
+    """A binary handle on path, or on stdin for -; only a file is closed."""
     if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
+
+
+def _read_input(path: str) -> bytes:
+    with _open_input(path) as fh:
         return fh.read()
 
 
@@ -142,12 +149,14 @@ def _cmd_congruence_sweep(args) -> int:
 def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     """One report per set from irregular_sets() against the --pairing table.
 
-    The table is read first, so a bad path fails before a long sweep.
+    The table is opened first, so a bad path fails before a long sweep, and
+    read in one streamed pass once the primes are known.
     """
-    raw = _read_input(args.pairing)
-    digest = table_digest(raw)
-    sets = list(irregular_sets())
-    tables = parse_pairing_file(raw, {irr.p: irr for irr in sets})
+    sha = hashlib.sha256()
+    with _open_input(args.pairing) as fh:
+        sets = list(irregular_sets())
+        tables = parse_pairing_file(read_chunks(fh, sha), {irr.p: irr for irr in sets})
+    digest = digest_of(sha)
     for irr in sets:
         report = build_report(irr, tables.get(irr.p), _resolve_flags(irr.p, args), digest)
         sys.stdout.write(report.to_json() + "\n" if fmt == "json" else report.to_tsv())

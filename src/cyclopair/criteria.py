@@ -179,24 +179,22 @@ def height_lower_bound(
     )
 
 
-def _pair_data(
-    irr: IrregularSet, table: PairingTable, k: int, kp: int
-) -> tuple[str, int | None]:
-    """Resolve the pairing datum for the irregular pair (k, k').
+def _pair_status(irr: IrregularSet, table: PairingTable, k: int, kp: int) -> str:
+    """The state of the pairing datum for the irregular pair (k, k').
 
-    Returns one of ("zero", v), ("nonzero", v) for an e-backed value,
-    ("nonzero-b", v) for a value known nonzero only through the published
-    b-table (needs surjectivity), or ("missing", None).
+    One of "zero", "nonzero" for an e-backed datum, "nonzero-b" for one
+    known nonzero only through the published b-table (needs surjectivity),
+    or "missing".
     """
     b = table.b_entries.get((k, kp))
     e = table.e_entries.get(b_to_e(irr, k, kp))
     if b == 0 or e == 0:
-        return "zero", 0
+        return "zero"
     if e is not None:
-        return "nonzero", e
+        return "nonzero"
     if b is not None:
-        return "nonzero-b", b
-    return "missing", None
+        return "nonzero-b"
+    return "missing"
 
 
 def gk_verdict(
@@ -245,7 +243,7 @@ def gk_verdict(
         table = PairingTable(irr.p)
     zero, missing, b_only = [], [], []
     for k, kp in pairs:
-        status, _ = _pair_data(irr, table, k, kp)
+        status = _pair_status(irr, table, k, kp)
         if status == "zero":
             zero.append((k, kp))
         elif status == "missing":

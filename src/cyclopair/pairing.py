@@ -12,16 +12,31 @@ as zero/nonzero: the tables are normalized only up to a unit.  A b-entry at
 (k, k') and an e-entry at (p-k, k') describe the same datum, so a table that
 carries both with mismatched zeroness is rejected.
 
+A parsed table therefore keeps no values.  Per irregular k it holds two
+bitsets over the odd offsets, bit j standing for i = 2j + 1: ``present``,
+the offsets with a row, and ``zero``, those whose value is 0.  A B row
+(k, k') sets the bit of offset p - k under k', where the e-datum it shares
+lives.  The file is read in one pass, ``READ_CHUNK`` bytes at a time, and
+neither its text, nor a tuple or a dict entry per row, is kept: memory
+grows with the bits, not the rows, and ``eligible_set`` is a few ANDs per
+prime.
+
 Missing data is explicit and flows through as the ``missing`` component of
 an EligibleSet; nothing here ever invents a value.
 """
 
+import codecs
 import random
+import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress
 
 from .bernoulli import IrregularSet
 from .cache import decimal_int
+
+# bytes per read of a pairing file
+READ_CHUNK = 1 << 12
 
 
 class PairingFormatError(ValueError):
@@ -30,6 +45,12 @@ class PairingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PairingTable:
+    """Pairing data of one prime, read only as zero/nonzero.
+
+    ``b_entries`` maps (k, k') and ``e_entries`` maps (i, k) to a value; a
+    parsed table maps each key to 0 (zero) or 1 (nonzero).
+    """
+
     p: int
     b_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
     e_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
@@ -41,9 +62,9 @@ class EligibleSet:
 
     ``eligible`` holds the odd i in [1, p-2] whose e-entry is present and
     nonzero for every irregular k; ``missing`` the odd i lacking an entry for
-    some k.  Both ascend; a field that holds every odd i is the ``range``
-    itself, so compare with ``tuple(...)``.  ``s`` is only meaningful on
-    complete data.
+    some k.  Both ascend; a field that holds every odd i may be the
+    ``range`` itself, so compare with ``tuple(...)``.  ``s`` is only
+    meaningful on complete data.
     """
 
     p: int
@@ -59,65 +80,207 @@ class EligibleSet:
         return len(self.eligible) if self.complete else None
 
 
-def _build_table(
-    p: int,
-    rows: Iterable[tuple[int, str, int, int, int]],
-    expected_R: IrregularSet,
-) -> PairingTable:
-    R = set(expected_R.indices)
-    b_entries: dict[tuple[int, int], int] = {}
-    e_entries: dict[tuple[int, int], int] = {}
-    for lineno, kind, a, b, value in rows:
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _offsets(mask: int) -> tuple[int, ...]:
+    """The odd offsets i = 2j + 1 of the set bits j of mask, ascending."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit j at index j
+    return tuple(compress(range(1, 2 * len(bits), 2), bits))
+
+
+class RowMasks(Mapping):
+    """Parsed rows of one kind as a read-only mapping key -> 0 or 1.
+
+    ``present[c]`` and ``zero[c]`` are bitsets over odd offsets (bit j for
+    i = 2j + 1).  E rows are keyed (i, k) with c = k; B rows are keyed
+    (k, k') with c = k' and i = p - k.
+    """
+
+    __slots__ = ("p", "pairs", "present", "zero")
+
+    def __init__(self, p: int, pairs: bool, present: dict, zero: dict):
+        self.p, self.pairs = p, pairs
+        self.present, self.zero = present, zero
+
+    def __getitem__(self, key) -> int:
+        a, c = key
+        i = self.p - a if self.pairs else a
+        if i > 0 and i % 2 and self.present.get(c, 0) >> (i >> 1) & 1:
+            return 0 if self.zero.get(c, 0) >> (i >> 1) & 1 else 1
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for c, mask in self.present.items():
+            for i in _offsets(mask):
+                yield ((self.p - i) if self.pairs else i), c
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self.present.values())
+
+
+_PRESENT_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
+_ZERO_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def _masks(states_by_index: dict[int, bytearray]) -> tuple[dict, dict]:
+    """(present, zero) bitsets per index of row states."""
+    def mask(states, digits):
+        return int(states.translate(digits)[::-1], 2)
+
+    return ({c: mask(s, _PRESENT_DIGITS) for c, s in states_by_index.items()},
+            {c: mask(s, _ZERO_DIGITS) for c, s in states_by_index.items()})
+
+
+class _TableReader:
+    """Validates the rows of one prime.  E rows go into one state byte per
+    odd offset and k (0 absent, 1 nonzero, 2 zero), B rows, a few per
+    prime, straight into bitsets."""
+
+    __slots__ = ("p", "R", "e_states", "b_present", "b_zero")
+
+    def __init__(self, irr: IrregularSet):
+        self.p = irr.p
+        self.R = irr.indices  # a handful: a tuple is searched as fast as a set
+        self.e_states: dict[int, bytearray] = {}
+        self.b_present: dict[int, int] = {}  # k' -> bits of the offsets p - k
+        self.b_zero: dict[int, int] = {}
+
+    def _out_of_range(self, lineno: int, value: int) -> PairingFormatError:
+        return PairingFormatError(
+            f"line {lineno}: value {value} out of range [0, {self.p})"
+        )
+
+    def add_e(self, lineno: int, i: int, k: int, value: int) -> None:
+        p = self.p
         if not 0 <= value < p:
+            raise self._out_of_range(lineno, value)
+        if i % 2 == 0 or not 1 <= i <= p - 2:
             raise PairingFormatError(
-                f"line {lineno}: value {value} out of range [0, {p})"
+                f"line {lineno}: i must be odd in [1, p-2], got {i}"
             )
-        if kind == "B":
-            k, kp = a, b
-            if k >= kp:
-                raise PairingFormatError(f"line {lineno}: B row needs k < k'")
-            for key in (k, kp):
-                if key not in R:
-                    raise PairingFormatError(
-                        f"line {lineno}: index {key} is not irregular for {p}"
-                    )
-            if (k, kp) in b_entries:
-                raise PairingFormatError(f"line {lineno}: duplicate B key ({k},{kp})")
-            b_entries[(k, kp)] = value
-        else:
-            i, k = a, b
-            if i % 2 == 0 or not 1 <= i <= p - 2:
-                raise PairingFormatError(
-                    f"line {lineno}: i must be odd in [1, p-2], got {i}"
-                )
-            if k not in R:
+        states = self.e_states.get(k)
+        if states is None:
+            if k not in self.R:
                 raise PairingFormatError(
                     f"line {lineno}: index {k} is not irregular for {p}"
                 )
-            if (i, k) in e_entries:
-                raise PairingFormatError(f"line {lineno}: duplicate E key ({i},{k})")
-            e_entries[(i, k)] = value
-    for (k, kp), bv in b_entries.items():
-        i, _ = b_to_e(expected_R, k, kp)
-        ev = e_entries.get((i, kp))
-        if ev is not None and (bv == 0) != (ev == 0):
+            states = self.e_states[k] = bytearray((p - 1) // 2)
+        if states[i >> 1]:
+            raise PairingFormatError(f"line {lineno}: duplicate E key ({i},{k})")
+        states[i >> 1] = 2 if value == 0 else 1
+
+    def add_b(self, lineno: int, k: int, kp: int, value: int) -> None:
+        if not 0 <= value < self.p:
+            raise self._out_of_range(lineno, value)
+        if k >= kp:
+            raise PairingFormatError(f"line {lineno}: B row needs k < k'")
+        for key in (k, kp):
+            if key not in self.R:
+                raise PairingFormatError(
+                    f"line {lineno}: index {key} is not irregular for {self.p}"
+                )
+        bit = 1 << ((self.p - k) >> 1)
+        present = self.b_present.get(kp, 0)
+        if present & bit:
+            raise PairingFormatError(f"line {lineno}: duplicate B key ({k},{kp})")
+        self.b_present[kp] = present | bit
+        if value == 0:
+            self.b_zero[kp] = self.b_zero.get(kp, 0) | bit
+
+    def table(self) -> PairingTable:
+        """The table read, once every pair agrees on zeroness across B and E."""
+        p = self.p
+        b = RowMasks(p, True, self.b_present, self.b_zero)
+        e = RowMasks(p, False, *_masks(self.e_states))
+        # the highest offset of a disagreement under k' is its smallest k
+        disagree = [
+            (p + 1 - 2 * bad.bit_length(), kp)
+            for kp, present in b.present.items()
+            if (bad := present & e.present.get(kp, 0)
+                & (b.zero.get(kp, 0) ^ e.zero.get(kp, 0)))
+        ]
+        if disagree:
+            k, kp = min(disagree)
             raise PairingFormatError(
-                f"b({k},{kp}) and e({i},{kp}) disagree on zeroness for p={p}"
+                f"b({k},{kp}) and e({p - k},{kp}) disagree on zeroness for p={p}"
             )
-    return PairingTable(p, b_entries, e_entries)
+        return PairingTable(p, b, e)
 
 
-def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
-    if isinstance(text, bytes):
+def _not_utf8(exc: UnicodeDecodeError, start: int) -> PairingFormatError:
+    """The whole-text decoder's message for exc, whose input began at byte
+    start of the file."""
+    lo, hi = exc.start + start, exc.end + start
+    if hi - lo == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {lo}"
+    else:
+        where = f"bytes in position {lo}-{hi - 1}"
+    return PairingFormatError(
+        f"not UTF-8 text: 'utf-8' codec can't decode {where}: {exc.reason}"
+    )
+
+
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[list[str]]:
+    """The lines of UTF-8 text arriving in byte chunks, a list per chunk,
+    split exactly as ``str.splitlines(keepends=True)`` splits the whole text.
+
+    An undecodable byte raises only after the lines before it.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0  # bytes passed to the decoder so far
+    tail = ""  # the last piece so far, which the next chunk may continue
+    for chunk, final in chain(((c, False) for c in chunks), [(b"", True)]):
+        start = fed - len(decoder.getstate()[0])  # file position of its input
+        fed += len(chunk)
         try:
-            text = text.decode("utf-8")
+            text = decoder.decode(chunk, final)
         except UnicodeDecodeError as exc:
-            raise PairingFormatError(f"not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+            good = exc.object[:exc.start].decode("utf-8")
+            # a stand-in for the bad byte ends the text inside its line, so
+            # every line before that one comes out whole
+            yield (tail + good + "\ufffd").splitlines(keepends=True)[:-1]
+            raise _not_utf8(exc, start) from None
+        lines = (tail + text).splitlines(keepends=True)
+        # a piece ending in "\r" may still end in "\r\n"
+        tail = lines.pop() if lines and not final else ""
+        yield lines
+
+
+def read_chunks(fh, sha) -> Iterator[bytes]:
+    """The bytes of the binary file fh in READ_CHUNK pieces, each fed to the
+    hash object sha as it is read."""
+    while chunk := fh.read(READ_CHUNK):
+        sha.update(chunk)
+        yield chunk
+
+
+# lines that are all rows of five fields: a kind, then four ASCII numbers
+_ROW_LINES = re.compile(r"(?:[BE](?:\t[0-9]+){4}\n)*")
+
+
+def _row_blocks(source: Iterable[bytes]) -> Iterator[Iterable[tuple]]:
+    """Per chunk, its rows (line number, kind, p, a, b, value), format-checked."""
+    lineno = 0
+    for lines in _line_blocks(source):
+        block = "".join(lines)
+        if _ROW_LINES.fullmatch(block):
+            # the common block needs no check line by line
+            f = block.split()
+            yield zip(range(lineno + 1, lineno + 1 + len(lines)), f[::5],
+                      *(map(int, f[col::5]) for col in range(1, 5)))
+        else:
+            yield _checked_rows(lines, lineno)
+        lineno += len(lines)
+
+
+def _checked_rows(lines: list[str], lineno: int) -> Iterator[tuple]:
+    """The rows of lines that follow line number lineno, checked one by one."""
+    for raw in lines:
+        lineno += 1
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if len(fields) != 5:
             raise PairingFormatError(
                 f"line {lineno}: expected 5 fields, got {len(fields)}"
@@ -129,25 +292,38 @@ def _rows_with_prime(text) -> Iterable[tuple[int, int, str, int, int, int]]:
             p, a, b, value = map(decimal_int, fields[1:])
         except ValueError as exc:
             raise PairingFormatError(f"line {lineno}: {exc}") from None
-        yield lineno, p, kind, a, b, value
+        yield lineno, kind, p, a, b, value
 
 
 def parse_pairing_file(
-    text, R_by_p: Mapping[int, IrregularSet]
+    source: str | bytes | Iterable[bytes], R_by_p: Mapping[int, IrregularSet]
 ) -> dict[int, PairingTable]:
     """Split a multi-prime table into per-prime tables.
 
-    Rows for primes absent from R_by_p are ignored (they belong to a range
-    the caller is not sweeping); a prime without rows gets no table.
+    ``source`` is the text, its UTF-8 bytes, or those bytes in chunks (see
+    ``read_chunks``).  Rows for primes absent from R_by_p are ignored (they
+    belong to a range the caller is not sweeping); a prime without rows gets
+    no table.  The first bad line in file order is reported; the B/E
+    zeroness check runs once every row is read.
     """
-    grouped: dict[int, list] = {}
-    for lineno, p, kind, a, b, value in _rows_with_prime(text):
-        if p in R_by_p:
-            grouped.setdefault(p, []).append((lineno, kind, a, b, value))
-    return {
-        p: _build_table(p, rows, R_by_p[p])
-        for p, rows in grouped.items()
-    }
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    if isinstance(source, bytes):
+        source = (source,)
+    readers: dict[int, _TableReader] = {}
+    for rows in _row_blocks(source):
+        for lineno, kind, p, a, b, value in rows:
+            reader = readers.get(p)
+            if reader is None:
+                if p not in R_by_p:
+                    continue
+                reader = readers[p] = _TableReader(R_by_p[p])
+            if kind == "E":
+                reader.add_e(lineno, a, b, value)
+            else:
+                reader.add_b(lineno, a, b, value)
+    # each reader is dropped as its table is made, so the two never all coexist
+    return {p: readers.pop(p).table() for p in list(readers)}
 
 
 def serialize_pairing_table(table: PairingTable) -> str:
@@ -165,12 +341,28 @@ def serialize_pairing_table(table: PairingTable) -> str:
 
 def b_to_e(irr: IrregularSet, k: int, kp: int) -> tuple[int, int]:
     """Index of the e-datum carrying the same pairing value as b(k, k')."""
-    R = set(irr.indices)
-    if k not in R or kp not in R:
+    # r is a handful, so the sorted index tuple is searched as it stands
+    if k not in irr.indices or kp not in irr.indices:
         raise ValueError(f"({k}, {kp}) is not a pair of irregular indices for {irr.p}")
     if k >= kp:
         raise ValueError("b_to_e needs k < k'")
     return irr.p - k, kp
+
+
+def _e_masks(entries: Mapping[tuple[int, int], int], p: int) -> tuple[dict, dict]:
+    """(present, zero) bitsets per k of e-entries; keys that are not an odd
+    offset in [1, p-2] are no row of a table and are skipped."""
+    if isinstance(entries, RowMasks):
+        return entries.present, entries.zero
+    present: dict[int, int] = {}
+    zero: dict[int, int] = {}
+    for (i, k), v in entries.items():
+        if i % 2 and 1 <= i <= p - 2:
+            bit = 1 << (i >> 1)
+            present[k] = present.get(k, 0) | bit
+            if v == 0:
+                zero[k] = zero.get(k, 0) | bit
+    return present, zero
 
 
 def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
@@ -185,22 +377,16 @@ def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
         return EligibleSet(p, odd, ())
     if table is not None and table.p != p:
         raise ValueError(f"table is for {table.p}, expected {p}")
-    # one pass over the table: for each offset, how many irregular k have an
-    # entry there, and the offsets where one of them is zero
-    R = set(irr.indices)
-    present: dict[int, int] = {}
-    zero: set[int] = set()
-    for (i, k), v in (table.e_entries if table is not None else {}).items():
-        if k in R:
-            present[i] = present.get(i, 0) + 1
-            if v == 0:
-                zero.add(i)
-    if not present:  # no entry for any k in R: every offset is missing
+    present, zero = _e_masks(table.e_entries, p) if table is not None else ({}, {})
+    full = (1 << len(odd)) - 1
+    known, eligible = full, full  # offsets with an entry, a nonzero one, for every k
+    for k in irr.indices:
+        mask = present.get(k, 0)
+        known &= mask
+        eligible &= mask & ~zero.get(k, 0)
+    if not known:  # some k without any entry: every offset is missing
         return EligibleSet(p, (), odd)
-    r = len(R)
-    eligible = [i for i in odd if present.get(i) == r and i not in zero]
-    missing = [i for i in odd if present.get(i, 0) < r]
-    return EligibleSet(p, tuple(eligible), tuple(missing))
+    return EligibleSet(p, _offsets(eligible), _offsets(full & ~known))
 
 
 def synth_table(

@@ -23,7 +23,12 @@ from .pairing import EligibleSet, PairingTable, eligible_set
 
 
 def table_digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+    return digest_of(hashlib.sha256(raw))
+
+
+def digest_of(sha) -> str:
+    """The report's form of a SHA-256 hash object fed the table's bytes."""
+    return "sha256:" + sha.hexdigest()
 
 
 @dataclass(frozen=True)

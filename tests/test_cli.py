@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cyclopair import cli
-from cyclopair.bernoulli import irregular_indices
+from cyclopair import bernoulli, cli, pairing
+from cyclopair.bernoulli import irregular_indices, irregular_sweep
 from cyclopair.pairing import serialize_pairing_table, synth_table
+from cyclopair.report import table_digest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -313,3 +315,82 @@ def test_closed_stdout_is_not_a_usage_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert b"error:" not in stderr
+
+
+# -- the streamed --pairing read -------------------------------------------------
+
+def _synth_e_tables(max_p: int) -> bytes:
+    return "".join(
+        serialize_pairing_table(synth_table(irr.p, irr, zero_keys=set(), seed=irr.p))
+        for irr in irregular_sweep(max_p) if irr.indices
+    ).encode()
+
+
+def _main_with_stdin(monkeypatch, capsys, argv, stdin: bytes):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    status = cli.main(argv)
+    return status, capsys.readouterr()
+
+
+def test_streamed_report_digest_and_stdin(tmp_path, monkeypatch, capsys):
+    # chunks far smaller than the table, cut inside rows and a comment's
+    # multibyte character; the digest is that of the whole file
+    monkeypatch.setattr(pairing, "READ_CHUNK", 7)
+    raw = "# tables – café\r\n".encode() + _synth_e_tables(120)
+    path = tmp_path / "table.tsv"
+    path.write_bytes(raw)
+    argv = ["report", "--max-p", "120", "--pairing"]
+    assert cli.main([*argv, str(path)]) == 0
+    from_file = capsys.readouterr().out
+    reports = [json.loads(line) for line in from_file.splitlines()]
+    assert {obj["table_digest"] for obj in reports} == {table_digest(raw)}
+    assert any(obj["height"] and obj["height"]["d"] for obj in reports)
+    status, out = _main_with_stdin(monkeypatch, capsys, [*argv, "-"], raw)
+    assert status == 0 and out.out.encode() == from_file.encode()
+
+
+def test_bad_pairing_path_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_primes(p):
+        raise AssertionError(f"computed p = {p}")
+
+    monkeypatch.setattr(bernoulli, "irregular_indices", no_primes)
+    monkeypatch.setattr(cli, "irregular_indices", no_primes)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    for path in (tmp_path / "absent.tsv", tmp_path):
+        for argv in (["report", "--max-p", "50"], ["criteria", "37"]):
+            assert cli.main([*argv, "--pairing", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("cyclopair: error: ") and str(path) in err
+
+
+def test_pairing_handle_closed_on_every_exit_path(tmp_path, monkeypatch, capsys):
+    handles = []
+
+    def tracked_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(cli, "open", tracked_open, raising=False)
+    good = tmp_path / "good.tsv"
+    good.write_text("E\t37\t7\t32\t5\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("E\t37\t7\t32\t5\nE\t37\t7\n")
+
+    def broken(*args):
+        raise RuntimeError("internal")
+
+    cases = [
+        (["criteria", "37", "--pairing", str(good)], 0, None),
+        (["criteria", "37", "--pairing", str(bad)], 2, None),          # bad row
+        (["report", "--max-p", "50", "--jobs", "0", "--pairing", str(good)], 2, None),  # sweep
+        (["criteria", "37", "--pairing", str(good)], 1, "irregular_indices"),  # before the read
+        (["criteria", "37", "--pairing", str(good)], 1, "build_report"),       # after it
+    ]
+    for argv, status, fail_at in cases:
+        with monkeypatch.context() as m:
+            if fail_at:
+                m.setattr(cli, fail_at, broken)
+            assert cli.main(argv) == status
+        capsys.readouterr()
+    assert len(handles) == len(cases)
+    assert all(fh.closed for fh in handles)

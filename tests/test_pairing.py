@@ -1,8 +1,11 @@
+import hashlib
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclopair import pairing
 from cyclopair.bernoulli import IrregularSet
 from cyclopair.pairing import (
     EligibleSet,
@@ -11,6 +14,7 @@ from cyclopair.pairing import (
     b_to_e,
     eligible_set,
     parse_pairing_file,
+    read_chunks,
     serialize_pairing_table,
     synth_b_table,
     synth_table,
@@ -36,14 +40,15 @@ def test_parse_empty():
 
 
 def test_parse_e_row():
+    # a parsed table keeps zeroness only: 1 stands for any nonzero value
     table = parse_one("E\t37\t7\t32\t5\n", IRR_37)
-    assert table.e_entries == {(7, 32): 5}
+    assert table.e_entries == {(7, 32): 1}
 
 
 def test_parse_skips_comments_and_other_primes():
     text = "# header\nB\t1217\t784\t866\t0\nE\t37\t7\t32\t5\n"
     table = parse_one(text, IRR_37)
-    assert table.e_entries == {(7, 32): 5}
+    assert table.e_entries == {(7, 32): 1}
     assert table.b_entries == {}
 
 
@@ -54,6 +59,9 @@ def test_parse_errors_carry_line_numbers():
         parse_one("X\t37\t7\t32\t5\n", IRR_37)
     with pytest.raises(PairingFormatError, match="line 1"):
         parse_one("E\t37\tseven\t32\t5\n", IRR_37)
+    # a row broken over two lines is two bad lines, not one row
+    with pytest.raises(PairingFormatError, match="line 2: expected 5 fields, got 3"):
+        parse_one("E\t37\t1\t32\t5\nE\t37\t7\n32\t5\nE\t37\t9\t32\t5\n", IRR_37)
 
 
 def test_parse_rejects_key_outside_r():
@@ -81,7 +89,11 @@ def test_parse_rejects_b_e_zeroness_mismatch():
         parse_one(text, IRR_1217)
     ok = "B\t1217\t784\t866\t5\nE\t1217\t433\t866\t9\n"
     table = parse_one(ok, IRR_1217)
-    assert table.b_entries[(784, 866)] == 5
+    assert table.b_entries[(784, 866)] == 1
+
+
+def zeroness(entries):
+    return {key: v == 0 for key, v in entries.items()}
 
 
 def test_roundtrip_canonical():
@@ -89,14 +101,16 @@ def test_roundtrip_canonical():
     for seed in range(5):
         table = synth_table(37, IRR_37, zero_keys={(5, 32)}, seed=seed)
         text = serialize_pairing_table(table)
-        # shuffle lines and sprinkle comments; canonical form must survive
+        # shuffle lines and sprinkle comments; the zeroness of every key and
+        # the canonical form of the parse must survive
         lines = text.splitlines()
         rng.shuffle(lines)
         noisy = "# noise\n" + "\n".join(lines) + "\n"
         reparsed = parse_one(noisy, IRR_37)
-        assert serialize_pairing_table(reparsed) == text
+        assert zeroness(reparsed.e_entries) == zeroness(table.e_entries)
         again = parse_one(text, IRR_37)
-        assert serialize_pairing_table(again) == text
+        assert serialize_pairing_table(reparsed) == serialize_pairing_table(again)
+        assert parse_one(serialize_pairing_table(again), IRR_37) == again
 
 
 def test_parse_pairing_file_multi_prime():
@@ -257,3 +271,124 @@ def test_synth_b_table():
     assert set(table.b_entries) == {(784, 866), (784, 1118), (866, 1118)}
     assert table.b_entries[(784, 866)] == 0
     assert all(v != 0 for k, v in table.b_entries.items() if k != (784, 866))
+
+
+# -- streamed reading --------------------------------------------------------
+
+def parse_chunked(raw: bytes, R_by_p, size: int):
+    return parse_pairing_file([raw[i:i + size] for i in range(0, len(raw), size)], R_by_p)
+
+
+def parse_error(raw: bytes, R_by_p, size: int) -> str:
+    with pytest.raises(PairingFormatError) as info:
+        parse_chunked(raw, R_by_p, size)
+    return str(info.value)
+
+
+def test_read_chunks_uses_the_chunk_constant(monkeypatch):
+    monkeypatch.setattr(pairing, "READ_CHUNK", 5)
+    raw = b"E\t37\t7\t32\t5\n"
+    sha = hashlib.sha256()
+    chunks = list(read_chunks(io.BytesIO(raw), sha))
+    assert chunks == [b"E\t37\t", b"7\t32\t", b"5\n"]
+    assert sha.digest() == hashlib.sha256(raw).digest()
+
+
+def test_row_split_across_chunks():
+    # every cut, in each field and the line break, gives the one-chunk table
+    table = synth_table(37, IRR_37, zero_keys={(5, 32)}, seed=2)
+    raw = ("# a header\n" + serialize_pairing_table(table)).encode()
+    whole = parse_one(raw, IRR_37)
+    assert zeroness(whole.e_entries) == zeroness(table.e_entries)
+    for size in (1, 2, 3, 7, 11, 16, 100):
+        assert parse_chunked(raw, {37: IRR_37}, size) == {37: whole}
+
+
+def test_multibyte_comment_split_across_chunks():
+    raw = "# café ✓ \U0001f600\nE\t37\t7\t32\t0\n".encode()
+    for size in range(1, len(raw) + 1):
+        assert parse_chunked(raw, {37: IRR_37}, size)[37].e_entries == {(7, 32): 0}
+
+
+def test_crlf_and_other_line_breaks_number_lines_as_splitlines():
+    # "\r\n" is one break even when the chunk ends between "\r" and "\n";
+    # "\r", "\x85" and "\u2028" are breaks of their own
+    text = "E\t37\t1\t32\t5\r\n# c\rE\t37\t3\t32\t5\x85\u2028E\t37\t5\t32\t5\r\nE\t37\t8\t32\t5\r\n"
+    bad = text.splitlines().index("E\t37\t8\t32\t5") + 1
+    raw = text.encode()
+    for size in range(1, len(raw) + 1):
+        assert parse_error(raw, {37: IRR_37}, size) == (
+            f"line {bad}: i must be odd in [1, p-2], got 8")
+    good = raw[:raw.index(b"E\t37\t8")]
+    assert set(parse_chunked(good, {37: IRR_37}, 4)[37].e_entries) == {(1, 32), (3, 32), (5, 32)}
+
+
+def test_undecodable_byte_past_first_chunk_names_its_file_position():
+    rows = serialize_pairing_table(synth_table(37, IRR_37, seed=4)).encode()
+    cases = [rows + b"# \xff\n",           # invalid start byte
+             rows + b"# \xe2\x9c",         # truncated at the end of the file
+             rows + b"# \xe2\x28\xa1\n"]   # invalid continuation byte
+    for raw in cases:
+        with pytest.raises(UnicodeDecodeError) as info:
+            raw.decode("utf-8")
+        want = f"not UTF-8 text: {info.value}"
+        assert str(len(rows) + 2) in want
+        for size in (1, 2, 3, 16, 100, len(raw)):
+            assert parse_error(raw, {37: IRR_37}, size) == want
+
+
+def test_line_blocks_split_as_splitlines():
+    pieces = ["E\t37\t7\t32\t5", "#", "é", "✓", "\r", "\n", "\r\n", "\x85",
+              "\u2028", "\x0b", "\x1c", " ", "x"]
+    rng = random.Random(11)
+    for _ in range(300):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        raw = text.encode()
+        for size in (1, 2, 3, 5):
+            chunks = [raw[i:i + size] for i in range(0, len(raw), size)]
+            lines = [line for block in pairing._line_blocks(chunks) for line in block]
+            assert lines == text.splitlines(keepends=True)
+
+
+# -- which error is reported ----------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    # an undecodable byte no longer beats a bad row before it
+    pytest.param(b"E\t37\t7\t32\t5\nE\t37\t7\n# \xff\n", "line 2: expected 5 fields, got 3",
+                 id="format-error-before-undecodable"),
+    pytest.param(b"E\t37\t7\t32\t5\n# \xff\nE\t37\t7\n", "not UTF-8 text:",
+                 id="undecodable-before-format-error"),
+    # a range or duplicate error no longer loses to a format error after it
+    pytest.param(b"E\t37\t7\t32\t37\nX\t37\t7\t32\t5\n", "line 1: value 37 out of range",
+                 id="range-error-before-format-error"),
+    pytest.param(b"E\t37\t7\t32\t5\nE\t37\t7\t32\t5\nE\t37\t7\n", "line 2: duplicate E key",
+                 id="duplicate-before-format-error"),
+    # rows are no longer checked one prime at a time
+    pytest.param(b"E\t37\t1\t32\t5\nB\t1217\t784\t866\t5\nE\t1217\t2\t784\t5\nE\t37\t1\t32\t5\n",
+                 "line 3: i must be odd", id="across-primes"),
+    # the B/E zeroness check comes after every row
+    pytest.param(b"B\t1217\t784\t866\t0\nE\t1217\t433\t866\t9\nE\t37\t7\t30\t5\n",
+                 "line 3: index 30 is not irregular", id="row-error-before-zeroness"),
+])
+def test_first_bad_line_in_file_order_is_reported(text, message):
+    R_by_p = {37: IRR_37, 1217: IRR_1217}
+    for size in (1, 4, len(text)):
+        assert message in parse_error(text, R_by_p, size)
+
+
+def test_zeroness_disagreement_names_the_smallest_pair():
+    irr = IrregularSet(1217, (784, 866, 1118))
+    text = ("B\t1217\t866\t1118\t0\nE\t1217\t351\t1118\t3\n"
+            "B\t1217\t784\t866\t4\nE\t1217\t433\t866\t0\n")
+    with pytest.raises(PairingFormatError, match=r"^b\(784,866\) and e\(433,866\) disagree"):
+        parse_one(text, irr)
+
+
+def test_parsed_table_keeps_no_values():
+    text = "B\t1217\t784\t866\t0\nB\t1217\t784\t1118\t7\nE\t1217\t1\t866\t0\nE\t1217\t3\t866\t9\n"
+    table = parse_one(text, IRR_1217)
+    assert dict(table.b_entries) == {(784, 866): 0, (784, 1118): 1}
+    assert dict(table.e_entries) == {(1, 866): 0, (3, 866): 1}
+    assert (len(table.b_entries), len(table.e_entries)) == (2, 2)
+    for absent in [(866, 1118), (5, 866), (1, 784), (2, 866), (-1, 866), (1217, 866)]:
+        assert absent not in table.e_entries and absent not in table.b_entries
