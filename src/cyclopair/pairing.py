@@ -27,7 +27,6 @@ an EligibleSet; nothing here ever invents a value.
 
 import codecs
 import random
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -229,7 +228,7 @@ def _line_blocks(chunks: Iterable[bytes]) -> Iterator[list[str]]:
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     fed = 0  # bytes passed to the decoder so far
-    tail = ""  # the last piece so far, which the next chunk may continue
+    tail: list[str] = []  # the last piece so far, which the next chunk may continue
     for chunk, final in chain(((c, False) for c in chunks), [(b"", True)]):
         start = fed - len(decoder.getstate()[0])  # file position of its input
         fed += len(chunk)
@@ -239,11 +238,16 @@ def _line_blocks(chunks: Iterable[bytes]) -> Iterator[list[str]]:
             good = exc.object[:exc.start].decode("utf-8")
             # a stand-in for the bad byte ends the text inside its line, so
             # every line before that one comes out whole
-            yield (tail + good + "\ufffd").splitlines(keepends=True)[:-1]
+            yield ("".join(tail) + good + "\ufffd").splitlines(keepends=True)[:-1]
             raise _not_utf8(exc, start) from None
-        lines = (tail + text).splitlines(keepends=True)
+        if tail and not final and text.splitlines() in ([text], []):
+            # no line break yet: joined only once one comes, so a long line
+            # costs its length, not its length times the chunks it spans
+            tail.append(text)
+            continue
+        lines = ("".join(tail) + text).splitlines(keepends=True)
         # a piece ending in "\r" may still end in "\r\n"
-        tail = lines.pop() if lines and not final else ""
+        tail = [lines.pop()] if lines and not final else []
         yield lines
 
 
@@ -255,44 +259,35 @@ def read_chunks(fh, sha) -> Iterator[bytes]:
         yield chunk
 
 
-# lines that are all rows of five fields: a kind, then four ASCII numbers
-_ROW_LINES = re.compile(r"(?:[BE](?:\t[0-9]+){4}\n)*")
-
-
-def _row_blocks(source: Iterable[bytes]) -> Iterator[Iterable[tuple]]:
-    """Per chunk, its rows (line number, kind, p, a, b, value), format-checked."""
+def _rows(source: Iterable[bytes]) -> Iterator[tuple]:
+    """The rows (line number, kind, p, a, b, value) of the text arriving in
+    byte chunks, format-checked, in file order."""
     lineno = 0
     for lines in _line_blocks(source):
-        block = "".join(lines)
-        if _ROW_LINES.fullmatch(block):
-            # the common block needs no check line by line
-            f = block.split()
-            yield zip(range(lineno + 1, lineno + 1 + len(lines)), f[::5],
-                      *(map(int, f[col::5]) for col in range(1, 5)))
-        else:
-            yield _checked_rows(lines, lineno)
-        lineno += len(lines)
-
-
-def _checked_rows(lines: list[str], lineno: int) -> Iterator[tuple]:
-    """The rows of lines that follow line number lineno, checked one by one."""
-    for raw in lines:
-        lineno += 1
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if len(fields) != 5:
-            raise PairingFormatError(
-                f"line {lineno}: expected 5 fields, got {len(fields)}"
-            )
-        kind = fields[0]
-        if kind not in ("B", "E"):
-            raise PairingFormatError(f"line {lineno}: unknown row kind {kind!r}")
-        try:
-            p, a, b, value = map(decimal_int, fields[1:])
-        except ValueError as exc:
-            raise PairingFormatError(f"line {lineno}: {exc}") from None
-        yield lineno, kind, p, a, b, value
+        for raw in lines:
+            lineno += 1
+            fields = raw.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if len(fields) != 5:
+                raise PairingFormatError(
+                    f"line {lineno}: expected 5 fields, got {len(fields)}"
+                )
+            kind = fields[0]
+            if kind not in ("B", "E"):
+                raise PairingFormatError(f"line {lineno}: unknown row kind {kind!r}")
+            numbers = fields[1:]
+            digits = "".join(numbers)
+            try:
+                # the row's digits are checked at once; decimal_int, field by
+                # field, only names the first bad one
+                if digits.isascii() and digits.isdigit():
+                    p, a, b, value = map(int, numbers)
+                else:
+                    p, a, b, value = map(decimal_int, numbers)
+            except ValueError as exc:
+                raise PairingFormatError(f"line {lineno}: {exc}") from None
+            yield lineno, kind, p, a, b, value
 
 
 def parse_pairing_file(
@@ -311,17 +306,16 @@ def parse_pairing_file(
     if isinstance(source, bytes):
         source = (source,)
     readers: dict[int, _TableReader] = {}
-    for rows in _row_blocks(source):
-        for lineno, kind, p, a, b, value in rows:
-            reader = readers.get(p)
-            if reader is None:
-                if p not in R_by_p:
-                    continue
-                reader = readers[p] = _TableReader(R_by_p[p])
-            if kind == "E":
-                reader.add_e(lineno, a, b, value)
-            else:
-                reader.add_b(lineno, a, b, value)
+    for lineno, kind, p, a, b, value in _rows(source):
+        reader = readers.get(p)
+        if reader is None:
+            if p not in R_by_p:
+                continue
+            reader = readers[p] = _TableReader(R_by_p[p])
+        if kind == "E":
+            reader.add_e(lineno, a, b, value)
+        else:
+            reader.add_b(lineno, a, b, value)
     # each reader is dropped as its table is made, so the two never all coexist
     return {p: readers.pop(p).table() for p in list(readers)}
 

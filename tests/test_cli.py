@@ -221,11 +221,13 @@ def test_criteria_key_outside_r_exits_2(tmp_path):
     pytest.param("E\t3_7\t5\t32\t5", id="p-underscore"),
     pytest.param("E\t37\t+1\t32\t5", id="i-plus-sign"),
     pytest.param("E\t37\t1\t\u0663\u0662\t5", id="k-arabic-indic-digits"),
+    pytest.param("E\t37\t7\t32\t" + "1" * 5000, id="value-over-int-digit-limit"),
 ])
 @pytest.mark.parametrize("argv", [["criteria", "37"], ["report", "--max-p", "40"]],
                          ids=["criteria", "report"])
 def test_pairing_rows_accept_ascii_digits_only(tmp_path, capsys, row, argv):
-    # int() alone would read each of these rows as a valid E row for p = 37
+    # int() alone would read each of these rows as a valid E row for p = 37,
+    # or fail outside the format check on a value of over 4300 digits
     table = tmp_path / "table.tsv"
     table.write_text("E\t37\t3\t32\t5\n" + row + "\n", encoding="utf-8")
     assert cli.main([*argv, "--pairing", str(table)]) == 2

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,9 @@ def test_parse_errors_carry_line_numbers():
     # a row broken over two lines is two bad lines, not one row
     with pytest.raises(PairingFormatError, match="line 2: expected 5 fields, got 3"):
         parse_one("E\t37\t1\t32\t5\nE\t37\t7\n32\t5\nE\t37\t9\t32\t5\n", IRR_37)
+    # a value int() refuses to convert (over 4300 digits) is a bad line too
+    with pytest.raises(PairingFormatError, match="^line 2: "):
+        parse_one("E\t37\t3\t32\t5\nE\t37\t7\t32\t" + "1" * 5000 + "\n", IRR_37)
 
 
 def test_parse_rejects_key_outside_r():
@@ -348,6 +352,16 @@ def test_line_blocks_split_as_splitlines():
             chunks = [raw[i:i + size] for i in range(0, len(raw), size)]
             lines = [line for block in pairing._line_blocks(chunks) for line in block]
             assert lines == text.splitlines(keepends=True)
+
+
+def test_long_line_costs_its_length():
+    # an 8 MB line without a break spans 2048 default chunks; rejoining the
+    # unfinished line at every chunk would copy and scan it about 2048 times
+    raw = b"E\t37\t3\t32\t5\n" + b"x" * (8 << 20)
+    start = time.perf_counter()
+    assert parse_error(raw, {37: IRR_37}, pairing.READ_CHUNK) == (
+        "line 2: expected 5 fields, got 1")
+    assert time.perf_counter() - start < 2
 
 
 # -- which error is reported ----------------------------------------------------
