@@ -50,6 +50,8 @@ def _prime_arg(p: int) -> int:
         raise InputError(str(exc)) from None
     if p == 3:
         raise InputError("p = 3 has no even indices in [2, p-3]")
+    if p > MODULUS_LIMIT:  # prime, but a row would hold about p / 2 entries
+        raise InputError(f"p must be at most 2^31 = {MODULUS_LIMIT}, got {p}")
     return p
 
 

@@ -7,7 +7,9 @@ a branch and bound over bitmasks: degree-0/1 vertices are taken outright,
 connected components are solved separately, branching picks the first
 vertex of maximum degree, and subtrees die against a greedy clique-cover
 bound sharpened by disjoint inconsistent clique sets.  The ascending
-greedy solution seeds the incumbent.
+greedy solution seeds the incumbent.  The search is one loop over an
+explicit stack, with no recursion; a join frame adds a solved component's
+optimum to the rest of its mask.
 
 Orbit rule.  A conflict depends only on i - i', so a translation t with
 I + t = I maps packings to packings of the same size.  Let g be the period
@@ -84,7 +86,6 @@ valid bound prunes it; the search tree only loses subtrees.
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
 """
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -260,29 +261,32 @@ def _cover_bound(mask: int, adj: list[int], limit: int) -> bool:
     return True
 
 
-def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
-    """Whether ``mask`` is connected, given that ``mask | removed`` is
-    connected and ``mask`` is nonempty (module docstring): a BFS inside
-    ``mask`` from the lowest vertex of Y = N(removed) & mask, stopped once it
-    has reached all of Y."""
-    ys = 0
-    while removed:
-        b = removed & -removed
-        removed ^= b
-        ys |= adj[b.bit_length()]
-    ys &= mask
-    seen = frontier = ys & -ys
-    while ys & ~seen:
-        if not frontier:
-            return False
-        grow = 0
-        while frontier:
-            lb = frontier & -frontier
-            frontier ^= lb
-            grow |= adj[lb.bit_length()]
-        frontier = grow & mask & ~seen
+def _neighbours(adj: list[int], mask: int) -> int:
+    """The union of the neighbourhoods of the vertices of ``mask``."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out |= adj[b.bit_length()]
+    return out
+
+
+def _reach(adj: list[int], mask: int, seed: int, goal: int) -> int:
+    """The vertices a BFS inside ``mask`` reaches from ``seed``, stopped
+    once they include ``goal``."""
+    seen = frontier = seed
+    while frontier and goal & ~seen:
+        frontier = _neighbours(adj, frontier) & mask & ~seen
         seen |= frontier
-    return True
+    return seen
+
+
+def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
+    """Whether the nonempty ``mask`` is connected, given that ``mask |
+    removed`` is (module docstring): whether a BFS inside ``mask`` from the
+    lowest vertex of Y = N(removed) & mask reaches all of Y."""
+    ys = _neighbours(adj, removed) & mask
+    return not ys & ~_reach(adj, mask, ys & -ys, ys)
 
 
 def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int, int]:
@@ -291,19 +295,37 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     ``orbits`` partitions ``mask`` into the orbits of a translation symmetry,
     in the order of their least vertex, or is empty; with orbits the root
     branches once per orbit (module docstring).  ``nodes`` counts one per
-    include branch, exclude branch and component.  Only include-branches and
-    component splits recurse; everything else iterates, so the depth stays
-    near the solution size.
+    include branch, exclude branch and component.
+
+    One loop runs the search over a stack of frames (mask, dirty, conn,
+    cur_n, cur_mask), seeded with the orbit branches or the whole mask.  A
+    branching goes on into its include side and pushes its exclude side.  A
+    split pushes a join frame (dirty None) for the rest of the mask under
+    the component's root; the join adds the component's incumbent, the top
+    of ``bests``, to the rest.
     """
-    nodes = 0
     # no vertex can exceed the maximum degree of the whole graph
     max_deg = max(a.bit_count() for a in adj)
-
-    def bb(mask, dirty, conn, cur_n, cur_mask, best_n, best_mask):
-        # invariant on entry: every vertex of mask outside dirty has degree
+    bests = [_greedy_mask(mask, adj)]  # then one per open component
+    stack = []
+    for orbit in orbits:
+        vb = orbit & -orbit
+        sub = mask & ~(vb | adj[vb.bit_length()])
+        stack.append((sub, sub, 0, 1, vb))
+        mask &= ~orbit
+    stack = stack[::-1] or [(mask, mask, 0, 0, 0)]
+    nodes = 0
+    while stack:
+        # invariant of a frame: every vertex of mask outside dirty has degree
         # >= 2, and conn is a connected set containing mask, or 0 if unknown
-        nonlocal nodes
-        nodes += 1
+        mask, dirty, conn, cur_n, cur_mask = stack.pop()
+        if dirty is None:
+            comp_n, comp_mask = bests.pop()
+            cur_n += comp_n
+            cur_mask |= comp_mask
+            dirty = 0
+        else:
+            nodes += 1
         while True:
             # take isolated and degree-1 vertices; always part of some optimum.
             # Passes in index order over the vertices whose degree changed;
@@ -326,35 +348,25 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                         touched = adj[nb.bit_length()] & mask
                         dirty |= touched
                         rem = (rem | touched & -(b << 1)) & mask
+            best_n = bests[-1][0]
             if mask == 0:
-                return (cur_n, cur_mask) if cur_n > best_n else (best_n, best_mask)
+                if cur_n > best_n:
+                    bests[-1] = cur_n, cur_mask
+                break
             if _cover_bound(mask, adj, best_n - cur_n):
-                return best_n, best_mask
+                break
             if conn and _still_connected(adj, mask, conn & ~mask):
                 comp = mask
-            else:
-                # peel off the connected component of the lowest vertex
-                comp = mask & -mask
-                frontier = comp
-                while frontier:
-                    grow = 0
-                    while frontier:
-                        lb = frontier & -frontier
-                        frontier ^= lb
-                        grow |= adj[lb.bit_length()]
-                    frontier = grow & mask & ~comp
-                    comp |= frontier
+            else:  # the connected component of the lowest vertex
+                comp = _reach(adj, mask, mask & -mask, mask)
             if comp != mask:
                 # degrees inside and outside the component are unchanged
-                comp_n, comp_mask = bb(comp, 0, comp, 0, 0, *_greedy_mask(comp, adj))
-                cur_n += comp_n
-                cur_mask |= comp_mask
-                mask ^= comp
-                conn = 0
-                continue
-            # branch on the first vertex of maximum degree: include
-            # recursively, then exclude it and iterate; both sides lie in
-            # the connected mask
+                stack.append((mask ^ comp, None, 0, cur_n, cur_mask))
+                stack.append((comp, 0, comp, 0, 0))
+                bests.append(_greedy_mask(comp, adj))
+                break
+            # branch on the first vertex of maximum degree: push the exclude
+            # side, go on into the include side; both lie in the connected mask
             rem = mask
             vb, deg = 0, -1
             while rem:
@@ -366,35 +378,13 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                     if d == max_deg:
                         break
             nbrs = adj[vb.bit_length()] & mask
+            stack.append((mask ^ vb, nbrs, mask, cur_n, cur_mask))
             sub = mask & ~(vb | nbrs)
-            second = 0
-            rem = nbrs
-            while rem:
-                lb = rem & -rem
-                rem ^= lb
-                second |= adj[lb.bit_length()]
-            best_n, best_mask = bb(sub, second & sub, mask, cur_n + 1,
-                                   cur_mask | vb, best_n, best_mask)
-            conn = mask
-            mask ^= vb
-            dirty = nbrs
+            mask, dirty, conn = sub, _neighbours(adj, nbrs) & sub, mask
+            cur_n += 1
+            cur_mask |= vb
             nodes += 1
-
-    n = mask.bit_length()
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 1000))
-    try:
-        best = _greedy_mask(mask, adj)
-        if not orbits:
-            best = bb(mask, mask, 0, 0, 0, *best)
-        for orbit in orbits:
-            vb = orbit & -orbit
-            sub = mask & ~(vb | adj[vb.bit_length()])
-            best = bb(sub, sub, 0, 1, vb, *best)
-            mask &= ~orbit
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return *best, nodes
+    return *bests[0], nodes
 
 
 def _orbit_masks(inst: PackingInstance) -> list[int]:

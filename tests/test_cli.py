@@ -279,8 +279,19 @@ def test_usage_error_exits_2():
                  id="congruence-sweep-max-p"),
     pytest.param(["report", "--max-p", "4000000000", "--pairing", "/dev/null"], "--max-p",
                  id="report-max-p"),
+    # primes above 2^31 that the primality test still decides
+    pytest.param(["bern", "2147483659"], "at most 2^31", id="bern-p-above-2^31"),
+    pytest.param(["criteria", "2147483659", "--pairing", "/dev/null"], "at most 2^31",
+                 id="criteria-p-above-2^31"),
 ])
-def test_input_errors_exit_2(capsys, argv, message):
+def test_input_errors_exit_2(monkeypatch, capsys, argv, message):
+    # every case fails before a row is computed; one that gets through fails
+    # here instead of allocating gigabytes
+    def refuse(p, *args):
+        raise AssertionError(f"computed a row for p = {p}")
+
+    monkeypatch.setattr(cli, "bernoulli_row", refuse)
+    monkeypatch.setattr(cli, "irregular_indices", refuse)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("cyclopair: error: ") and message in err

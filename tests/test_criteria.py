@@ -47,6 +47,8 @@ def test_default_flags():
 def test_flags_validate():
     with pytest.raises(ValueError):
         HypothesisFlags("yes", FLAG_ASSUMED, FLAG_TRUE)
+    with pytest.raises(ValueError, match="procyclic"):
+        HypothesisFlags(FLAG_ASSUMED, "yes", FLAG_TRUE)
     with pytest.raises(ValueError):
         HypothesisFlags(FLAG_ASSUMED, FLAG_ASSUMED, "maybe")
 
@@ -211,6 +213,10 @@ def test_gk_missing_pairs_conditional():
     v = gk_for(IRR_157, PairingTable(157))
     assert v.status == CONDITIONAL
     assert v.detail["missing_pairs"] == [(62, 110)]
+    # no table at all: every pair is missing
+    v = gk_for(irregular_indices(1217), None)
+    assert v.status == CONDITIONAL
+    assert v.detail["missing_pairs"] == [(784, 866), (784, 1118), (866, 1118)]
 
 
 def test_gk_congruence_violation_inconclusive():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -518,6 +519,31 @@ def test_two_percent_zeros_491(monkeypatch):
     assert not {i for i, _ in zeros} & set(bound.witness)
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
     assert nodes == [3_627]
+
+
+def calls_left() -> int:
+    # how many nested calls still fit under the recursion limit from here
+    try:
+        return 1 + calls_left()
+    except RecursionError:
+        return 0
+
+
+def test_full_table_491_needs_no_recursion(monkeypatch):
+    # the search runs on an explicit stack: a dozen frames of head room and a
+    # recursion limit it may not raise suffice for the hardest full table
+    def refuse(limit):
+        raise AssertionError(f"the solver set the recursion limit to {limit}")
+
+    pi = inst(490, irregular_indices(491).indices, range(1, 490, 2))
+    limit, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    set_limit(limit - calls_left() + 12)
+    try:
+        res = max_disjoint_translates_exact(pi)
+    finally:
+        set_limit(limit)
+    assert (res.count, res.nodes) == (76, 1_368)
 
 
 @pytest.mark.parametrize("p", [157, 353, 379, 467])

@@ -84,6 +84,10 @@ def test_parse_rejects_bad_values_and_keys():
         parse_one("B\t1217\t866\t784\t1\n", IRR_1217)
     with pytest.raises(PairingFormatError, match="duplicate"):
         parse_one("E\t37\t7\t32\t5\nE\t37\t7\t32\t5\n", IRR_37)
+    with pytest.raises(PairingFormatError, match="out of range"):
+        parse_one("B\t1217\t784\t866\t1217\n", IRR_1217)
+    with pytest.raises(PairingFormatError, match="duplicate B key"):
+        parse_one("B\t1217\t784\t866\t5\nB\t1217\t784\t866\t5\n", IRR_1217)
 
 
 def test_parse_rejects_b_e_zeroness_mismatch():
