@@ -210,12 +210,10 @@ def bernoulli_row(p: int, method: str = METHOD_FAST) -> BernoulliRow:
     return fn(p)
 
 
-def irregular_indices(p: int, method: str = METHOD_FAST) -> IrregularSet:
+def irregular_indices(p: int) -> IrregularSet:
     """The set R of even k in [2, p-3] with B_k == 0 mod p."""
-    if method == METHOD_FAST:  # T_m == 0 iff B_(2m+2) == 0 (see module doc)
-        _, _, sums = _voronoi_sums(p)
-        return IrregularSet(p, tuple(2 * m + 2 for m, s in enumerate(sums) if s == 0))
-    return IrregularSet(p, bernoulli_row(p, method).zero_indices())
+    _, _, sums = _voronoi_sums(p)  # T_m == 0 iff B_(2m+2) == 0 (see module doc)
+    return IrregularSet(p, tuple(2 * m + 2 for m, s in enumerate(sums) if s == 0))
 
 
 def _sieve_primes(limit: int) -> list[int]:

@@ -29,7 +29,7 @@ from .cache import IrregularCache, read_entries
 from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 from .eigenstructure import congruence_sweep
 from .modmath import MODULUS_LIMIT, require_odd_prime
-from .pairing import PairingFormatError, parse_pairing_file, read_chunks
+from .pairing import PairingFormatError, parse_pairing_file, read_blocks
 from .report import build_report, digest_of
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
@@ -157,7 +157,7 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     sha = hashlib.sha256()
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
-        tables = parse_pairing_file(read_chunks(fh, sha), {irr.p: irr for irr in sets})
+        tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})
     digest = digest_of(sha)
     for irr in sets:
         report = build_report(irr, tables.get(irr.p), _resolve_flags(irr.p, args), digest)

@@ -15,9 +15,6 @@ _MR_BASES = (2, 3, 5, 7)
 _MR_LIMIT = 3_215_031_751
 MODULUS_LIMIT = 1 << 31
 
-# Below this length the schoolbook convolution beats the packing overhead:
-# 7.9 / 8.3 us at n = 8, 13.7 / 6.4 us at 12 (best of 2,000, host as below).
-_KRONECKER_CUTOFF = 8
 # From this length on the decimal product beats the Kronecker one.  Cyclic
 # products of equal lengths n, p the least prime >= 2n + 1, best of 20-60
 # interleaved runs on a 2-vCPU x86-64 host with CPython 3.11, Kronecker
@@ -100,18 +97,6 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-def _convolution_schoolbook(u: list[int], v: list[int], p: int) -> list[int]:
-    n = len(u)
-    out = [0] * n
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            m = (i + j) % n
-            out[m] = (out[m] + a * b) % p
-    return out
-
-
 def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> list[int]:
     # Pack each sequence into one big integer, one coefficient per slot of
     # width bytes, so the integer product carries them without carries
@@ -171,15 +156,13 @@ def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
     """Cyclic convolution mod p of two sequences of one length n:
     c_m = sum of u_i v_j over i + j == m (mod n), for m < n.
 
-    Bit-exact with the schoolbook double loop on every input, unreduced and
-    negative ones included; the Kronecker and decimal paths are only
-    speedups.  Raises ValueError unless u and v are nonempty of equal length.
+    Bit-exact with that double sum on every input, unreduced and negative
+    ones included; the Kronecker and decimal products only compute it
+    faster.  Raises ValueError unless u and v are nonempty of equal length.
     """
     n = len(u)
     if n == 0 or len(v) != n:
         raise ValueError("cyclic convolution requires nonempty sequences of equal length")
-    if n <= _KRONECKER_CUTOFF:
-        return _convolution_schoolbook([a % p for a in u], [b % p for b in v], p)
     bound = n * (p - 1) * (p - 1)  # no folded value exceeds it
     if n < _DECIMAL_CUTOFF and bound < 1 << 64:
         return _convolution_kronecker(u, v, p, (bound.bit_length() + 7) // 8)

@@ -16,25 +16,24 @@ A parsed table therefore keeps no values.  Per irregular k it holds two
 bitsets over the odd offsets, bit j standing for i = 2j + 1: ``present``,
 the offsets with a row, and ``zero``, those whose value is 0.  A B row
 (k, k') sets the bit of offset p - k under k', where the e-datum it shares
-lives.  The file is read in one pass, ``READ_CHUNK`` bytes at a time, and
-neither its text, nor a tuple or a dict entry per row, is kept: memory
-grows with the bits, not the rows, and ``eligible_set`` is a few ANDs per
-prime.
+lives.  The file is read in one pass, in blocks of whole lines of about
+``READ_CHUNK`` bytes, and neither its text, nor a tuple or a dict entry per
+row, is kept: memory grows with the bits, not the rows, and
+``eligible_set`` is a few ANDs per prime.
 
 Missing data is explicit and flows through as the ``missing`` component of
 an EligibleSet; nothing here ever invents a value.
 """
 
-import codecs
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 
 from .bernoulli import IrregularSet
 from .cache import decimal_int
 
-# bytes per read of a pairing file
+# bytes of whole lines per read of a pairing file
 READ_CHUNK = 1 << 12
 
 
@@ -220,48 +219,39 @@ def _not_utf8(exc: UnicodeDecodeError, start: int) -> PairingFormatError:
     )
 
 
-def _line_blocks(chunks: Iterable[bytes]) -> Iterator[list[str]]:
-    """The lines of UTF-8 text arriving in byte chunks, a list per chunk,
-    split exactly as ``str.splitlines(keepends=True)`` splits the whole text.
+def _line_blocks(blocks: Iterable[bytes]) -> Iterator[list[str]]:
+    """The lines of UTF-8 text arriving in blocks of whole lines (see
+    ``read_blocks``), a list per block, split as ``str.splitlines`` splits
+    the whole text: a block ends at a newline byte, which no multibyte UTF-8
+    sequence holds and which ends every line break it is part of.
 
     An undecodable byte raises only after the lines before it.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = 0  # bytes passed to the decoder so far
-    tail: list[str] = []  # the last piece so far, which the next chunk may continue
-    for chunk, final in chain(((c, False) for c in chunks), [(b"", True)]):
-        start = fed - len(decoder.getstate()[0])  # file position of its input
-        fed += len(chunk)
+    start = 0  # file position of the block
+    for block in blocks:
         try:
-            text = decoder.decode(chunk, final)
+            text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            good = exc.object[:exc.start].decode("utf-8")
             # a stand-in for the bad byte ends the text inside its line, so
             # every line before that one comes out whole
-            yield ("".join(tail) + good + "\ufffd").splitlines(keepends=True)[:-1]
+            yield (block[:exc.start].decode("utf-8") + "\ufffd").splitlines()[:-1]
             raise _not_utf8(exc, start) from None
-        if tail and not final and text.splitlines() in ([text], []):
-            # no line break yet: joined only once one comes, so a long line
-            # costs its length, not its length times the chunks it spans
-            tail.append(text)
-            continue
-        lines = ("".join(tail) + text).splitlines(keepends=True)
-        # a piece ending in "\r" may still end in "\r\n"
-        tail = [lines.pop()] if lines and not final else []
-        yield lines
+        start += len(block)
+        yield text.splitlines()
 
 
-def read_chunks(fh, sha) -> Iterator[bytes]:
-    """The bytes of the binary file fh in READ_CHUNK pieces, each fed to the
-    hash object sha as it is read."""
-    while chunk := fh.read(READ_CHUNK):
-        sha.update(chunk)
-        yield chunk
+def read_blocks(fh, sha) -> Iterator[bytes]:
+    """The bytes of the binary file fh in blocks of whole lines, about
+    READ_CHUNK bytes each (one long line makes a longer block), each fed to
+    the hash object sha as it is read."""
+    while block := b"".join(fh.readlines(READ_CHUNK)):
+        sha.update(block)
+        yield block
 
 
 def _rows(source: Iterable[bytes]) -> Iterator[tuple]:
     """The rows (line number, kind, p, a, b, value) of the text arriving in
-    byte chunks, format-checked, in file order."""
+    blocks of whole lines, format-checked, in file order."""
     lineno = 0
     for lines in _line_blocks(source):
         for raw in lines:
@@ -291,20 +281,16 @@ def _rows(source: Iterable[bytes]) -> Iterator[tuple]:
 
 
 def parse_pairing_file(
-    source: str | bytes | Iterable[bytes], R_by_p: Mapping[int, IrregularSet]
+    source: Iterable[bytes], R_by_p: Mapping[int, IrregularSet]
 ) -> dict[int, PairingTable]:
     """Split a multi-prime table into per-prime tables.
 
-    ``source`` is the text, its UTF-8 bytes, or those bytes in chunks (see
-    ``read_chunks``).  Rows for primes absent from R_by_p are ignored (they
+    ``source`` is the UTF-8 text in blocks of whole lines (see
+    ``read_blocks``).  Rows for primes absent from R_by_p are ignored (they
     belong to a range the caller is not sweeping); a prime without rows gets
     no table.  The first bad line in file order is reported; the B/E
     zeroness check runs once every row is read.
     """
-    if isinstance(source, str):
-        source = source.encode("utf-8")
-    if isinstance(source, bytes):
-        source = (source,)
     readers: dict[int, _TableReader] = {}
     for lineno, kind, p, a, b, value in _rows(source):
         reader = readers.get(p)

@@ -125,7 +125,7 @@ def test_acceptance_5_gk_verdicts(sweep_25000, sweep_1000):
     fixture_text = (FIXTURES / "exceptional.tsv").read_bytes()
     for p, ((k, kp), _) in EXCEPTIONAL.items():
         irr = by_p[p]
-        table = parse_pairing_file(fixture_text, {p: irr})[p]
+        table = parse_pairing_file([fixture_text], {p: irr})[p]
         if table.b_entries.get((k, kp)) != 0:
             failures.append(("fixture zero missing", p))
         verdict = gk_verdict(irr, check_congruences(irr), table,

@@ -102,7 +102,7 @@ def test_voronoi_row_matches_per_k():
 
 
 def test_fast_matches_voronoi_p1009():
-    # n = 504 is far past the schoolbook cutoff, and n even needs no twist
+    # n = 504 takes the Kronecker product, and n even needs no twist
     assert bernoulli_fast_row(1009).values == bernoulli_voronoi_row(1009).values
 
 

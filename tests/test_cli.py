@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import subprocess
@@ -19,6 +20,23 @@ def run_cli(*args, stdin=b"", env=None):
         [sys.executable, "-m", "cyclopair", *map(str, args)],
         input=stdin, capture_output=True, env=env,
     )
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "cyclopair", (
+                    path.name, name)
 
 
 def test_bern_p7():
@@ -346,8 +364,8 @@ def _main_with_stdin(monkeypatch, capsys, argv, stdin: bytes):
 
 
 def test_streamed_report_digest_and_stdin(tmp_path, monkeypatch, capsys):
-    # chunks far smaller than the table, cut inside rows and a comment's
-    # multibyte character; the digest is that of the whole file
+    # blocks far smaller than the table, after a comment with multibyte
+    # characters and a "\r\n"; the digest is that of the whole file
     monkeypatch.setattr(pairing, "READ_CHUNK", 7)
     raw = "# tables – café\r\n".encode() + _synth_e_tables(120)
     path = tmp_path / "table.tsv"

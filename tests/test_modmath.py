@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from cyclopair import modmath
 from cyclopair.modmath import (
     _DECIMAL_CUTOFF,
-    _KRONECKER_CUTOFF,
     _convolution_decimal,
     _convolution_kronecker,
     convolution_mod,
@@ -142,7 +141,7 @@ def test_convolution_two_word_slots():
     # unreduced, negative and far above p
     p = 2**31 - 1
     rng = random.Random(31)
-    for n in (_KRONECKER_CUTOFF + 1, 40, 130):
+    for n in (9, 40, 130):
         u = [rng.randrange(-(2**80), 2**80) for _ in range(n)]
         v = [rng.choice((p - 1, -1, p * 7 + 3, rng.randrange(2**64))) for _ in range(n)]
         assert (n * (p - 1) ** 2).bit_length() > 64
@@ -179,7 +178,7 @@ def test_kronecker_and_decimal_paths_match_oracle():
 def test_fast_paths_zero_padding():
     # a delta times v is v: v's top residues are zero, so the product and
     # the folded sum both print shorter than their slots on the decimal path
-    for p, n in ((101, 40), (3001, _KRONECKER_CUTOFF + 1), (24989, 300)):
+    for p, n in ((101, 40), (3001, 9), (24989, 300)):
         rng = random.Random(p)
         v = [rng.randrange(p) for _ in range(n - 3)] + [0, p, -2 * p]
         delta = [p + 1] + [rng.choice((0, p, -p)) for _ in range(n - 1)]
@@ -192,7 +191,7 @@ def test_fast_paths_zero_padding():
 
 def _record_paths(monkeypatch):
     taken = []
-    for name in ("_convolution_schoolbook", "_convolution_kronecker", "_convolution_decimal"):
+    for name in ("_convolution_kronecker", "_convolution_decimal"):
         def spy(*args, real=getattr(modmath, name), name=name):
             taken.append(name)
             return real(*args)
@@ -201,8 +200,8 @@ def _record_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("n, path", [
-    (_KRONECKER_CUTOFF, "_convolution_schoolbook"),
-    (_KRONECKER_CUTOFF + 1, "_convolution_kronecker"),
+    (1, "_convolution_kronecker"),
+    (9, "_convolution_kronecker"),
     (_DECIMAL_CUTOFF - 1, "_convolution_kronecker"),
     (_DECIMAL_CUTOFF, "_convolution_decimal"),
     (_DECIMAL_CUTOFF + 1, "_convolution_decimal"),
@@ -221,7 +220,7 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
         # than the slots
         out = [rng.choice((-1, p - 1, 5 * p - 1, rng.randrange(-10**12, 10**12)))
                for _ in range(n)]
-        out[-3:] = [0, p, -p]
+        out[-3:] = [0, p, -p][-n:]
         return out
 
     u, v = operand(), operand()
@@ -229,19 +228,19 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
     assert taken == [path]
     # the schoolbook oracle in full where it is cheap; at long lengths the
     # other fast path in full and the oracle at the ends and 60 random m
-    ms = sorted({0, 1, n - 2, n - 1, *rng.sample(range(n), min(n, 60))})
+    ms = sorted({m % n for m in (0, 1, n - 2, n - 1, *rng.sample(range(n), min(n, 60)))})
     assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
     slot_bytes, slot_digits = widths(n, p)
     if path == "_convolution_decimal":
         assert got == _convolution_kronecker(u, v, p, slot_bytes)
     elif path == "_convolution_kronecker":
         assert got == _convolution_decimal(u, v, p, slot_digits)
-    if n <= 2 * _KRONECKER_CUTOFF:
+    if n <= 16:
         assert got == cyclic_oracle(u, v, p)
 
 
 @pytest.mark.parametrize("p, n", [
-    (7, _KRONECKER_CUTOFF), (3001, _KRONECKER_CUTOFF + 5), (24989, _DECIMAL_CUTOFF + 3)])
+    (7, 8), (3001, 13), (24989, _DECIMAL_CUTOFF + 3)])
 def test_convolution_zero_operand(p, n):
     v = [random.Random(3).randrange(-p, p) for _ in range(n)]
     for zero in ([0] * n, [p] * n, [-p] * n):

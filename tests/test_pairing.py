@@ -15,7 +15,7 @@ from cyclopair.pairing import (
     b_to_e,
     eligible_set,
     parse_pairing_file,
-    read_chunks,
+    read_blocks,
     serialize_pairing_table,
     synth_b_table,
     synth_table,
@@ -26,7 +26,7 @@ IRR_37 = IrregularSet(37, (32,))
 
 
 def parse_one(text, irr):
-    return parse_pairing_file(text, {irr.p: irr})[irr.p]
+    return parse_pairing_file([text.encode()], {irr.p: irr})[irr.p]
 
 
 def test_parse_b_row():
@@ -37,7 +37,7 @@ def test_parse_b_row():
 
 def test_parse_empty():
     # no rows for the prime: no table, which every consumer reads as empty
-    assert parse_pairing_file("", {37: IRR_37}) == {}
+    assert parse_pairing_file([], {37: IRR_37}) == {}
 
 
 def test_parse_e_row():
@@ -127,7 +127,7 @@ def test_parse_pairing_file_multi_prime():
         "E\t37\t7\t32\t5\n"
         "B\t7069\t1478\t2570\t0\n"  # 7069 absent from the lookup: ignored
     )
-    tables = parse_pairing_file(text, {37: IRR_37, 1217: IRR_1217})
+    tables = parse_pairing_file([text.encode()], {37: IRR_37, 1217: IRR_1217})
     assert set(tables) == {37, 1217}
     assert tables[1217].b_entries == {(784, 866): 0}
 
@@ -283,8 +283,15 @@ def test_synth_b_table():
 
 # -- streamed reading --------------------------------------------------------
 
+def blocks(raw: bytes, size: int) -> list[bytes]:
+    """The blocks read_blocks reads from raw with READ_CHUNK set to size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairing, "READ_CHUNK", size)
+        return list(read_blocks(io.BytesIO(raw), hashlib.sha256()))
+
+
 def parse_chunked(raw: bytes, R_by_p, size: int):
-    return parse_pairing_file([raw[i:i + size] for i in range(0, len(raw), size)], R_by_p)
+    return parse_pairing_file(blocks(raw, size), R_by_p)
 
 
 def parse_error(raw: bytes, R_by_p, size: int) -> str:
@@ -293,20 +300,25 @@ def parse_error(raw: bytes, R_by_p, size: int) -> str:
     return str(info.value)
 
 
-def test_read_chunks_uses_the_chunk_constant(monkeypatch):
+def test_read_blocks_uses_the_chunk_constant(monkeypatch):
+    # whole lines until a block passes READ_CHUNK bytes, so a block ends in
+    # a newline unless the file's last line has none
     monkeypatch.setattr(pairing, "READ_CHUNK", 5)
-    raw = b"E\t37\t7\t32\t5\n"
+    raw = b"E\t37\t7\t32\t5\n# a\n#\n\n# b\nE\t37\t9"
     sha = hashlib.sha256()
-    chunks = list(read_chunks(io.BytesIO(raw), sha))
-    assert chunks == [b"E\t37\t", b"7\t32\t", b"5\n"]
+    got = list(read_blocks(io.BytesIO(raw), sha))
+    assert got == [b"E\t37\t7\t32\t5\n", b"# a\n#\n", b"\n# b\n", b"E\t37\t9"]
+    assert all(block.endswith(b"\n") for block in got[:-1])
+    assert b"".join(got) == raw
     assert sha.digest() == hashlib.sha256(raw).digest()
+    assert list(read_blocks(io.BytesIO(b""), sha)) == []
 
 
 def test_row_split_across_chunks():
-    # every cut, in each field and the line break, gives the one-chunk table
+    # blocks of every size, down to a line each, give the one-block table
     table = synth_table(37, IRR_37, zero_keys={(5, 32)}, seed=2)
     raw = ("# a header\n" + serialize_pairing_table(table)).encode()
-    whole = parse_one(raw, IRR_37)
+    whole = parse_pairing_file([raw], {37: IRR_37})[37]
     assert zeroness(whole.e_entries) == zeroness(table.e_entries)
     for size in (1, 2, 3, 7, 11, 16, 100):
         assert parse_chunked(raw, {37: IRR_37}, size) == {37: whole}
@@ -319,8 +331,8 @@ def test_multibyte_comment_split_across_chunks():
 
 
 def test_crlf_and_other_line_breaks_number_lines_as_splitlines():
-    # "\r\n" is one break even when the chunk ends between "\r" and "\n";
-    # "\r", "\x85" and "\u2028" are breaks of their own
+    # "\r\n" is one break at every block size, as a block ends only after
+    # its "\n"; "\r", "\x85" and "\u2028" are breaks of their own
     text = "E\t37\t1\t32\t5\r\n# c\rE\t37\t3\t32\t5\x85\u2028E\t37\t5\t32\t5\r\nE\t37\t8\t32\t5\r\n"
     bad = text.splitlines().index("E\t37\t8\t32\t5") + 1
     raw = text.encode()
@@ -346,6 +358,7 @@ def test_undecodable_byte_past_first_chunk_names_its_file_position():
 
 
 def test_line_blocks_split_as_splitlines():
+    # blocks of whole lines at every size; "\r\n" never straddles two
     pieces = ["E\t37\t7\t32\t5", "#", "é", "✓", "\r", "\n", "\r\n", "\x85",
               "\u2028", "\x0b", "\x1c", " ", "x"]
     rng = random.Random(11)
@@ -353,14 +366,14 @@ def test_line_blocks_split_as_splitlines():
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
         raw = text.encode()
         for size in (1, 2, 3, 5):
-            chunks = [raw[i:i + size] for i in range(0, len(raw), size)]
-            lines = [line for block in pairing._line_blocks(chunks) for line in block]
-            assert lines == text.splitlines(keepends=True)
+            lines = [line for block in pairing._line_blocks(blocks(raw, size))
+                     for line in block]
+            assert lines == text.splitlines()
 
 
 def test_long_line_costs_its_length():
-    # an 8 MB line without a break spans 2048 default chunks; rejoining the
-    # unfinished line at every chunk would copy and scan it about 2048 times
+    # an 8 MB line without a break is 2048 times READ_CHUNK; it is read as
+    # one block and split once, not rejoined for every READ_CHUNK bytes
     raw = b"E\t37\t3\t32\t5\n" + b"x" * (8 << 20)
     start = time.perf_counter()
     assert parse_error(raw, {37: IRR_37}, pairing.READ_CHUNK) == (
