@@ -32,8 +32,7 @@ B_k == 0 iff T_m == 0: the irregular sweep reads its zeros straight from
 the convolution, without scaling it into B_k.
 """
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
 
@@ -42,27 +41,31 @@ METHOD_VORONOI = "voronoi"
 METHOD_FAST = "fast"
 
 
-@dataclass(frozen=True)
-class BernoulliRow:
+class BernoulliRow(NamedTuple):
     """B_k mod p for every even k with 2 <= k <= p-3."""
 
     p: int
     values: Mapping[int, int]
     method: str
 
-    def zero_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(k for k, v in self.values.items() if v == 0))
 
-
-@dataclass(frozen=True)
-class IrregularSet:
-    """A prime together with its sorted irregular indices."""
-
+class _IrregularFields(NamedTuple):
     p: int
     indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+
+class IrregularSet(_IrregularFields):
+    """A prime together with its sorted irregular indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, indices: Iterable[int]) -> "IrregularSet":
+        return super().__new__(cls, p, tuple(sorted(indices)))
+
+    @classmethod
+    def _make(cls, fields) -> "IrregularSet":
+        # _replace builds through _make: sort there too
+        return cls(*fields)
 
     @property
     def r(self) -> int:

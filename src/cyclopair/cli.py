@@ -9,10 +9,8 @@ OSError); any other exception is a bug and prints its traceback.
 
 import argparse
 import contextlib
-import hashlib
 import os
 import sys
-import traceback
 
 from . import __version__
 from .bernoulli import (
@@ -154,6 +152,9 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     The table is opened first, so a bad path fails before a long sweep, and
     read in one streamed pass once the primes are known.
     """
+    # imported here, as only the table's digest needs it
+    import hashlib
+
     sha = hashlib.sha256()
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         print(f"cyclopair: error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        # imported here, as only an internal error needs it
+        import traceback
+
         traceback.print_exc()
         return 1
 

@@ -16,13 +16,15 @@ records the hypothesis flags it leaned on.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bernoulli import IrregularSet
 from .eigenstructure import CongruenceCheckResult
 from .packing import PackingInstance, max_disjoint_translates_exact
 from .pairing import EligibleSet, PairingTable, b_to_e
+
+if TYPE_CHECKING:  # height_lower_bound imports it at run time
+    from fractions import Fraction
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -44,19 +46,30 @@ _TRI_STATES = (FLAG_TRUE, FLAG_ASSUMED, FLAG_FALSE_UNKNOWN)
 _SURJ_STATES = (FLAG_TRUE, FLAG_UNKNOWN)
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
+class _FlagFields(NamedTuple):
     vandiver: str
     procyclic: str
     pairing_surjective: str
 
-    def __post_init__(self) -> None:
-        if self.vandiver not in _TRI_STATES:
-            raise ValueError(f"bad vandiver flag {self.vandiver!r}")
-        if self.procyclic not in _TRI_STATES:
-            raise ValueError(f"bad procyclic flag {self.procyclic!r}")
-        if self.pairing_surjective not in _SURJ_STATES:
-            raise ValueError(f"bad surjectivity flag {self.pairing_surjective!r}")
+
+class HypothesisFlags(_FlagFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, vandiver: str, procyclic: str, pairing_surjective: str
+    ) -> "HypothesisFlags":
+        if vandiver not in _TRI_STATES:
+            raise ValueError(f"bad vandiver flag {vandiver!r}")
+        if procyclic not in _TRI_STATES:
+            raise ValueError(f"bad procyclic flag {procyclic!r}")
+        if pairing_surjective not in _SURJ_STATES:
+            raise ValueError(f"bad surjectivity flag {pairing_surjective!r}")
+        return super().__new__(cls, vandiver, procyclic, pairing_surjective)
+
+    @classmethod
+    def _make(cls, fields) -> "HypothesisFlags":
+        # _replace builds through _make: validate there too
+        return cls(*fields)
 
     @classmethod
     def defaults_for(cls, p: int) -> "HypothesisFlags":
@@ -76,20 +89,18 @@ class HypothesisFlags:
         return self.procyclic != FLAG_FALSE_UNKNOWN
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     detail: dict
     flags_used: HypothesisFlags
 
 
-@dataclass(frozen=True)
-class HeightBound:
+class HeightBound(NamedTuple):
     p: int
     zero_module: bool
     d: int | None
     bound_exact: int | None
-    bound_corollary: Fraction | None
+    bound_corollary: "Fraction | None"
     corollary_ceiling: int | None
     witness: tuple[int, ...]
     partial: bool
@@ -163,6 +174,9 @@ def height_lower_bound(
     partial = not elig.complete
     corollary = ceiling = None
     if not partial:
+        # imported here, as only the counting bound needs it
+        from fractions import Fraction
+
         r = irr.r
         corollary = Fraction(elig.s, r * r - r + 1) + 1
         ceiling = math.ceil(corollary)

@@ -5,17 +5,15 @@ unordered pair k < k' in R may have k + k' == 2 (mod p-1), and no two
 distinct pairs may have equal sums mod p-1.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bernoulli import IrregularSet
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CongruenceCheckResult:
+class CongruenceCheckResult(NamedTuple):
     p: int
     sum_two_violations: tuple[Pair, ...]
     collision_violations: tuple[tuple[Pair, Pair], ...]

@@ -6,7 +6,6 @@ into [0, m).
 
 import sys
 from array import array
-from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
 
 # Smallest composite strong pseudoprime to bases 2, 3, 5, 7 is 3,215,031,751
 # (Jaeschke), so these bases decide primality for every n below that bound,
@@ -130,6 +129,9 @@ def _pack_slots(coeffs: list[int], p: int, width: int) -> int:
 
 
 def _convolution_decimal(u: list[int], v: list[int], p: int, width: int) -> list[int]:
+    # imported here, as only long products need it
+    from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
+
     # The same substitution in base 10^width, multiplied by libmpdec, whose
     # number-theoretic transform beats CPython's Karatsuba on long operands.
     # Coefficients go in and come out as zero-padded width-digit slices of

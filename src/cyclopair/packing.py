@@ -86,14 +86,12 @@ valid bound prunes it; the search tree only loses subtrees.
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
 """
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 BRUTE_FORCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class PackingInstance:
+class PackingInstance(NamedTuple):
     modulus: int
     shape: tuple[int, ...]       # the translate shape R, reduced mod m
     candidates: tuple[int, ...]  # the offsets I, reduced mod m
@@ -111,8 +109,7 @@ class PackingInstance:
         )
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     count: int
     witness: tuple[int, ...]
     method: str
@@ -200,9 +197,9 @@ def _cover_bound(mask: int, adj: list[int], limit: int) -> bool:
     while mask:
         if q == limit + _CAP:
             return False
+        before = mask
         b = mask & -mask
         mask ^= b
-        clique = b
         i = b.bit_length()
         owner[i] = q
         cand = adj[i] & mask
@@ -210,10 +207,10 @@ def _cover_bound(mask: int, adj: list[int], limit: int) -> bool:
         while cand:
             wb = cand & -cand
             mask ^= wb
-            clique |= wb
             i = wb.bit_length()
             owner[i] = q
             cand &= adj[i]
+        clique = before ^ mask  # the vertices the loop took out of mask
         if clique == b:
             singles.append(q)
         cliques.append(clique)

@@ -27,8 +27,9 @@ an EligibleSet; nothing here ever invents a value.
 
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import compress
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .bernoulli import IrregularSet
 from .cache import decimal_int
@@ -41,21 +42,20 @@ class PairingFormatError(ValueError):
     """Malformed or inconsistent pairing data; message carries the line."""
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(NamedTuple):
     """Pairing data of one prime, read only as zero/nonzero.
 
     ``b_entries`` maps (k, k') and ``e_entries`` maps (i, k) to a value; a
-    parsed table maps each key to 0 (zero) or 1 (nonzero).
+    parsed table maps each key to 0 (zero) or 1 (nonzero).  Either defaults
+    to an empty read-only mapping.
     """
 
     p: int
-    b_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    e_entries: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    b_entries: Mapping[tuple[int, int], int] = MappingProxyType({})
+    e_entries: Mapping[tuple[int, int], int] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class EligibleSet:
+class EligibleSet(NamedTuple):
     """Odd offsets with all-nonzero pairing data, plus the undetermined ones.
 
     ``eligible`` holds the odd i in [1, p-2] whose e-entry is present and

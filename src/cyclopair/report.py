@@ -4,9 +4,8 @@ Serialization is canonical: fixed key order, compact separators, nothing
 nondeterministic, so identical inputs give byte-identical output.
 """
 
-import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .bernoulli import IrregularSet
@@ -23,6 +22,9 @@ from .pairing import EligibleSet, PairingTable, eligible_set
 
 
 def table_digest(raw: bytes) -> str:
+    # imported here, as only a pairing table's digest needs it
+    import hashlib
+
     return digest_of(hashlib.sha256(raw))
 
 
@@ -31,8 +33,7 @@ def digest_of(sha) -> str:
     return "sha256:" + sha.hexdigest()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     p: int
     irr: IrregularSet
     congruence: CongruenceCheckResult

@@ -39,6 +39,46 @@ def test_runtime_imports_only_the_standard_library():
                     path.name, name)
 
 
+# Modules a sweep has no use for: dataclasses (and inspect with it), OpenSSL
+# through hashlib, libmpdec through decimal and fractions, and traceback.
+_UNUSED_BY_SWEEPS = {"dataclasses", "inspect", "hashlib", "_hashlib", "decimal",
+                     "_decimal", "fractions", "traceback"}
+
+
+def _modules_loaded(*args) -> set[str]:
+    """The modules a run loads beyond those of a bare interpreter, from
+    -X importtime."""
+    def loaded(*argv):
+        res = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
+                             capture_output=True)
+        assert res.returncode == 0, res.stderr.decode()
+        return {line.rpartition("|")[2].strip()
+                for line in res.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+
+    return loaded("-m", "cyclopair", *args) - loaded("-c", "pass")
+
+
+# --jobs 1: multiprocessing.pool imports traceback itself
+@pytest.mark.parametrize("argv", [
+    ["irregular", "--max-p", 50, "--jobs", 1],
+    ["bern", 37],
+    ["congruence-sweep", "--max-p", 50, "--jobs", 1],
+])
+def test_sweeps_load_no_module_they_do_not_use(argv):
+    loaded = _modules_loaded(*argv)
+    assert "cyclopair.cli" in loaded
+    assert loaded & _UNUSED_BY_SWEEPS == set()
+
+
+def test_report_loads_neither_dataclasses_nor_traceback(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(_synth_e_tables(50))
+    loaded = _modules_loaded("report", "--max-p", 50, "--jobs", 1, "--pairing", table)
+    assert "hashlib" in loaded  # the table's digest
+    assert loaded & {"dataclasses", "inspect", "traceback"} == set()
+
+
 def test_bern_p7():
     res = run_cli("bern", "7")
     assert res.returncode == 0
