@@ -32,7 +32,9 @@ B_k == 0 iff T_m == 0: the irregular sweep reads its zeros straight from
 the convolution, without scaling it into B_k.
 """
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+import marshal
+import os
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
 
@@ -234,12 +236,114 @@ def _sweep_worker(p: int) -> tuple[int, tuple[int, ...]]:
     return p, irregular_indices(p).indices
 
 
+_RECORD = 4  # bytes per task record: an item's index, little-endian
+_BATCH = 512  # bytes per task-pipe write: POSIX's least PIPE_BUF, so each lands whole
+
+
+def _serve(fn: Callable, items: list, task_r: int, res_w: int, inherited) -> None:
+    """A forked child's whole life: fn over the items whose indices it reads
+    from the task pipe, then the marshalled results into its result pipe.
+    Leaves through os._exit, so no buffer or exit handler of the parent runs
+    here; never returns."""
+    status = 1
+    try:
+        for fd in inherited:  # the other pipe ends: the task pipe's must close for EOF
+            os.close(fd)
+        results = []
+        # the pipe only ever holds whole records, so each read takes exactly one
+        while record := os.read(task_r, _RECORD):
+            results.append(fn(items[int.from_bytes(record, "little")]))
+        with open(res_w, "wb") as out:
+            out.write(marshal.dumps(results))
+        status = 0
+    except BaseException:
+        # imported here, as only a failing child needs it
+        import traceback
+
+        with open(2, "w", closefd=False) as err:  # not the parent's buffered sys.stderr
+            traceback.print_exc(file=err)
+    finally:
+        os._exit(status)
+
+
+def _forked_map(fn: Callable, items: list, jobs: int) -> list:
+    """fn(item) for every item, in no set order, from min(jobs, len(items))
+    forked children; fn's results must be marshallable.
+
+    Once every child is forked, the parent writes each item's index into
+    one task pipe as a 4-byte record, in item order, and closes it.  A child
+    reads one record at a time until end of file, so whichever child is
+    free takes the next item (a make-style jobserver pipe).  It then writes
+    its results to its own result pipe, which the parent reads to end of
+    file before reaping the child.  A child that fails prints its traceback
+    and exits 1, and the parent raises RuntimeError; no child outlives the
+    call on any path.
+    """
+    owned: set[int] = set()  # pipe ends still open in this process
+
+    def pipe() -> tuple[int, int]:
+        ends = os.pipe()
+        owned.update(ends)
+        return ends
+
+    def close(fd: int) -> None:
+        owned.discard(fd)
+        os.close(fd)
+
+    task_r, task_w = pipe()
+    live: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(min(jobs, len(items))):
+            res_r, res_w = pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, items, task_r, res_w, owned - {task_r, res_w})
+            live[pid] = res_r
+            close(res_w)
+        close(task_r)
+        records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(items)))
+        try:
+            for start in range(0, len(records), _BATCH):
+                os.write(task_w, records[start:start + _BATCH])
+        except BrokenPipeError:
+            pass  # every child died before the last task: reaping them reports it
+        close(task_w)
+        results = []
+        for pid, res_r in list(live.items()):
+            owned.discard(res_r)
+            with open(res_r, "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            if status:
+                raise RuntimeError(f"worker {pid} failed: exit status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            results += marshal.loads(data)
+        return results
+    finally:
+        if live:
+            # imported here, as only a failed map leaves children to stop
+            import signal
+
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in owned:
+            os.close(fd)
+
+
 def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[IrregularSet]:
     """IrregularSet for every odd prime 7 <= p < p_max, ascending.
 
     Output is independent of ``jobs``.  ``cache`` is an optional
     ``cyclopair.cache.IrregularCache``; cached entries are reused and newly
     computed ones persisted.
+
+    With ``jobs`` > 1 and more than one prime left to compute, the primes
+    go to up to ``jobs`` children forked by ``_forked_map`` (POSIX
+    ``os.fork``), largest first, and each free child takes the next one
+    from a shared pipe; otherwise they run in this process.  A failing
+    child makes the sweep raise RuntimeError and leaves the cache unwritten.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -249,22 +353,13 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
         known = dict(cache.load())
     todo = [p for p in primes if p not in known]
     if todo:
-        # no more workers than primes; a pool of one would only add a fork
-        jobs = min(jobs, len(todo))
-        if jobs == 1:
+        if min(jobs, len(todo)) == 1:  # one child would only add a fork
             computed = [_sweep_worker(p) for p in todo]
         else:
-            # imported here, as only a pool needs it
-            import multiprocessing
-
-            chunk = max(1, len(todo) // (jobs * 8))
             # largest (slowest) primes first, so no long task is left for
             # the end while the other workers idle; known restores the order
-            with multiprocessing.Pool(jobs) as pool:
-                computed = list(
-                    pool.imap_unordered(_sweep_worker, todo[::-1], chunksize=chunk))
+            computed = _forked_map(_sweep_worker, todo[::-1], jobs)
         known.update(computed)
         if cache is not None:
             cache.store(known)
     return iter(IrregularSet(p, known[p]) for p in primes)
-

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclopair import __version__, modmath
+from cyclopair import __version__, bernoulli, modmath
 from cyclopair.bernoulli import (
     BernoulliRow,
     IrregularSet,
@@ -268,24 +269,132 @@ def test_sweep_cache_roundtrip(tmp_path):
 
 
 def test_sweep_one_prime_left_runs_in_process(tmp_path, monkeypatch):
-    # a cache lacking one prime leaves one task: jobs=8 forks no pool for it
-    import multiprocessing
-
+    # a cache lacking one prime leaves one task: jobs=8 forks no child for it
     cache = IrregularCache(tmp_path)
     full = list(irregular_sweep(200, cache=cache))
     entries = cache.load()
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     cache.store({p: k for p, k in entries.items() if p != 157})
     assert list(irregular_sweep(200, jobs=8, cache=cache)) == full
     assert cache.load() == entries
-    # with two primes left the pool is used, so the patch does take effect
+    # with two primes left the sweep forks, so the patch does take effect
     cache.store({p: k for p, k in entries.items() if p not in (157, 199)})
-    with pytest.raises(AssertionError, match="pool was started"):
+    with pytest.raises(AssertionError, match="child was forked"):
         list(irregular_sweep(200, jobs=8, cache=cache))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_at_157(monkeypatch):
+    # the forked children inherit the patch
+    real = bernoulli.irregular_indices
+
+    def failing(p):
+        if p == 157:
+            raise ZeroDivisionError("injected fault at p = 157")
+        return real(p)
+
+    monkeypatch.setattr(bernoulli, "irregular_indices", failing)
+
+
+def _children_die_at_once(monkeypatch):
+    # each child exits before reading a task; the parent waits until it has
+    # (leaving it for the sweep to reap), so its first task write breaks
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid == 0:
+            os._exit(3)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_sweep_worker_failure_raises_and_leaves_no_child(tmp_path, monkeypatch, capfd):
+    _fail_at_157(monkeypatch)
+    cache = IrregularCache(tmp_path)
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        list(irregular_sweep(300, jobs=2, cache=cache))
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: injected fault at p = 157" in err
+    assert not cache.path.exists()
+    _assert_no_child_left()
+
+
+def test_sweep_children_dead_before_any_task_raise_runtime_error(tmp_path, monkeypatch):
+    # the parent's BrokenPipeError on the task pipe is not let through
+    _children_die_at_once(monkeypatch)
+    cache = IrregularCache(tmp_path)
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        list(irregular_sweep(300, jobs=2, cache=cache))
+    assert not cache.path.exists()
+    _assert_no_child_left()
+
+
+_CLI_WITH_FAULT = """
+import sys
+import pytest
+from cyclopair import cli
+import test_bernoulli
+with pytest.MonkeyPatch.context() as m:
+    test_bernoulli.{fault}(m)
+    status = cli.main(["irregular", "--max-p", "300", "--jobs", "2"])
+print("stdout still open")
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("fault", ["_fail_at_157", "_children_die_at_once"])
+def test_cli_worker_failure_is_an_internal_error(fault):
+    # exit 1 with a traceback, not 2, and not the closed-stdout exit either:
+    # stdout stays usable
+    path = os.pathsep.join([str(Path(bernoulli.__file__).parents[1]), str(Path(__file__).parent)])
+    res = subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_FAULT.format(fault=fault)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 1, res.stderr.decode()
+    assert b"RuntimeError: worker " in res.stderr
+    assert res.stdout.endswith(b"stdout still open\n")
+
+
+def test_forked_children_never_flush_the_parents_stdout():
+    code = ("import sys\n"
+            "from cyclopair.bernoulli import irregular_sweep\n"
+            "sys.stdout.write('written once\\n')\n"
+            "assert len(list(irregular_sweep(200, jobs=2))) == 43\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout == b"written once\n"
+
+
+@pytest.mark.parametrize("jobs, n", [(2, 3000), (3, 3000), (8, 3000), (8, 3)])
+def test_forked_map_hands_out_every_item_once(monkeypatch, jobs, n):
+    # 3,000 items are 12,000 bytes of task records: many 512-byte writes
+    forks = []
+    real = os.fork
+
+    def counting_fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    items = [7 * i for i in range(n)]
+    out = bernoulli._forked_map(lambda x: (x, x * x % 1009, os.getpid()), items, jobs)
+    assert sorted(r[:2] for r in out) == [(x, x * x % 1009) for x in items]
+    assert len(forks) == min(jobs, n)
+    assert {r[2] for r in out} <= set(forks)
+    _assert_no_child_left()
 
 
 def test_sweep_cache_corruption_recovers(tmp_path, capsys):

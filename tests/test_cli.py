@@ -40,9 +40,11 @@ def test_runtime_imports_only_the_standard_library():
 
 
 # Modules a sweep has no use for: dataclasses (and inspect with it), OpenSSL
-# through hashlib, libmpdec through decimal and fractions, and traceback.
+# through hashlib, libmpdec through decimal and fractions, traceback, and
+# multiprocessing with what it loads: the forked workers need none of it.
 _UNUSED_BY_SWEEPS = {"dataclasses", "inspect", "hashlib", "_hashlib", "decimal",
-                     "_decimal", "fractions", "traceback"}
+                     "_decimal", "fractions", "traceback", "multiprocessing",
+                     "pickle", "socket", "subprocess", "threading"}
 
 
 def _modules_loaded(*args) -> set[str]:
@@ -59,16 +61,22 @@ def _modules_loaded(*args) -> set[str]:
     return loaded("-m", "cyclopair", *args) - loaded("-c", "pass")
 
 
-# --jobs 1: multiprocessing.pool imports traceback itself
 @pytest.mark.parametrize("argv", [
     ["irregular", "--max-p", 50, "--jobs", 1],
+    ["irregular", "--max-p", 50, "--jobs", 2],
     ["bern", 37],
     ["congruence-sweep", "--max-p", 50, "--jobs", 1],
+    ["congruence-sweep", "--max-p", 50, "--jobs", 2],
 ])
 def test_sweeps_load_no_module_they_do_not_use(argv):
     loaded = _modules_loaded(*argv)
     assert "cyclopair.cli" in loaded
     assert loaded & _UNUSED_BY_SWEEPS == set()
+
+
+def test_runtime_does_not_mention_multiprocessing():
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        assert "multiprocessing" not in path.read_text(), path.name
 
 
 def test_report_loads_neither_dataclasses_nor_traceback(tmp_path):
