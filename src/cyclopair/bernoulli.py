@@ -276,8 +276,8 @@ def _forked_map(fn: Callable, items: list, jobs: int) -> list:
     free takes the next item (a make-style jobserver pipe).  It then writes
     its results to its own result pipe, which the parent reads to end of
     file before reaping the child.  A child that fails prints its traceback
-    and exits 1, and the parent raises RuntimeError; no child outlives the
-    call on any path.
+    and exits 1, and the parent raises RuntimeError, as it does when a pipe
+    or a child cannot be made; no child outlives the call on any path.
     """
     owned: set[int] = set()  # pipe ends still open in this process
 
@@ -290,16 +290,19 @@ def _forked_map(fn: Callable, items: list, jobs: int) -> list:
         owned.discard(fd)
         os.close(fd)
 
-    task_r, task_w = pipe()
     live: dict[int, int] = {}  # pid -> read end of its result pipe
     try:
-        for _ in range(min(jobs, len(items))):
-            res_r, res_w = pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve(fn, items, task_r, res_w, owned - {task_r, res_w})
-            live[pid] = res_r
-            close(res_w)
+        try:
+            task_r, task_w = pipe()
+            for _ in range(min(jobs, len(items))):
+                res_r, res_w = pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items, task_r, res_w, owned - {task_r, res_w})
+                live[pid] = res_r
+                close(res_w)
+        except OSError as exc:  # EAGAIN, EMFILE: the OS's limit, not bad input
+            raise RuntimeError(f"could not start a worker: {exc}") from exc
         close(task_r)
         records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(items)))
         try:

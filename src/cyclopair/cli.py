@@ -28,7 +28,7 @@ from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 from .eigenstructure import congruence_sweep
 from .modmath import MODULUS_LIMIT, require_odd_prime
 from .pairing import PairingFormatError, parse_pairing_file, read_blocks
-from .report import build_report, digest_of
+from .report import build_report, digest_of, sha256
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 
@@ -152,10 +152,7 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     The table is opened first, so a bad path fails before a long sweep, and
     read in one streamed pass once the primes are known.
     """
-    # imported here, as only the table's digest needs it
-    import hashlib
-
-    sha = hashlib.sha256()
+    sha = sha256()
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
         tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})

@@ -16,15 +16,12 @@ records the hypothesis flags it leaned on.
 """
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .bernoulli import IrregularSet
 from .eigenstructure import CongruenceCheckResult
 from .packing import PackingInstance, max_disjoint_translates_exact
 from .pairing import EligibleSet, PairingTable, b_to_e
-
-if TYPE_CHECKING:  # height_lower_bound imports it at run time
-    from fractions import Fraction
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -100,7 +97,7 @@ class HeightBound(NamedTuple):
     zero_module: bool
     d: int | None
     bound_exact: int | None
-    bound_corollary: "Fraction | None"
+    bound_corollary: tuple[int, int] | None  # reduced (numerator, denominator)
     corollary_ceiling: int | None
     witness: tuple[int, ...]
     partial: bool
@@ -154,6 +151,15 @@ def greenberg_verdict(
     )
 
 
+def counting_bound(s: int, r: int) -> tuple[tuple[int, int], int]:
+    """s/(r^2 - r + 1) + 1 as a reduced (numerator, denominator) pair, and
+    its ceiling."""
+    q = r * r - r + 1
+    g = math.gcd(s, q)
+    num, den = (s + q) // g, q // g
+    return (num, den), -(-num // den)
+
+
 def height_lower_bound(
     irr: IrregularSet, elig: EligibleSet, flags: HypothesisFlags
 ) -> HeightBound:
@@ -174,12 +180,7 @@ def height_lower_bound(
     partial = not elig.complete
     corollary = ceiling = None
     if not partial:
-        # imported here, as only the counting bound needs it
-        from fractions import Fraction
-
-        r = irr.r
-        corollary = Fraction(elig.s, r * r - r + 1) + 1
-        ceiling = math.ceil(corollary)
+        corollary, ceiling = counting_bound(elig.s, irr.r)
     return HeightBound(
         irr.p,
         False,

@@ -378,9 +378,8 @@ def synth_table(
     """Full synthetic e-table: zeros exactly at zero_keys, seeded nonzero
     values elsewhere.  Deterministic in seed."""
     zeros = set(zero_keys)
-    valid = {(i, k) for i in range(1, p - 1, 2) for k in R.indices}
-    if not zeros <= valid:
-        raise ValueError(f"zero_keys outside the table: {sorted(zeros - valid)}")
+    if bad := [(i, k) for i, k in zeros if not (i % 2 and 1 <= i <= p - 2 and k in R.indices)]:
+        raise ValueError(f"zero_keys outside the table: {sorted(bad)}")
     rng = random.Random(seed)
     e_entries = {}
     for i in range(1, p - 1, 2):

@@ -21,11 +21,19 @@ from .eigenstructure import CongruenceCheckResult, check_congruences
 from .pairing import EligibleSet, PairingTable, eligible_set
 
 
-def table_digest(raw: bytes) -> str:
+def sha256(data: bytes = b""):
+    """A SHA-256 hash object fed data.  The built-in module comes first, as in
+    CPython's random.py: hashlib loads OpenSSL's libcrypto, 3.5 MB more."""
     # imported here, as only a pairing table's digest needs it
-    import hashlib
+    try:
+        from _sha256 import sha256 as new
+    except ImportError:  # CPython 3.12+ names it _sha2
+        from hashlib import sha256 as new
+    return new(data)
 
-    return digest_of(hashlib.sha256(raw))
+
+def table_digest(raw: bytes) -> str:
+    return digest_of(sha256(raw))
 
 
 def digest_of(sha) -> str:
@@ -67,7 +75,7 @@ class Report(NamedTuple):
                 "module_zero": h.zero_module if h else False,
                 "d": h.d if h else None,
                 "bound_exact": h.bound_exact if h else None,
-                "bound_corollary": str(h.bound_corollary)
+                "bound_corollary": _ratio(h.bound_corollary)
                 if h and h.bound_corollary is not None else None,
                 "corollary_ceiling": h.corollary_ceiling if h else None,
                 "partial": h.partial if h else False,
@@ -89,6 +97,11 @@ class Report(NamedTuple):
     def to_tsv(self) -> str:
         """Flat key<TAB>value projection of the same content."""
         return "".join(f"{key}\t{value}\n" for key, value in _flatten("", self.to_obj()))
+
+
+def _ratio(pair: tuple[int, int]) -> str:
+    """A reduced pair as str(Fraction) writes it: "a/b", or "a" when b is 1."""
+    return f"{pair[0]}/{pair[1]}" if pair[1] != 1 else str(pair[0])
 
 
 def _flatten(prefix: str, value):

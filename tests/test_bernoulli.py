@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclopair import __version__, bernoulli, modmath
+from cyclopair import __version__, bernoulli, cli, modmath
 from cyclopair.bernoulli import (
     BernoulliRow,
     IrregularSet,
@@ -364,6 +365,39 @@ def test_cli_worker_failure_is_an_internal_error(fault):
     assert res.returncode == 1, res.stderr.decode()
     assert b"RuntimeError: worker " in res.stderr
     assert res.stdout.endswith(b"stdout still open\n")
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _third_pipe_fails(monkeypatch):
+    # the task pipe and the first child's result pipe open, and that child
+    # is running, when the second child's pipe cannot be made
+    real, calls = os.pipe, []
+
+    def pipe():
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+
+
+@pytest.mark.parametrize("fault", [_fork_fails, _third_pipe_fails])
+def test_cli_worker_start_failure_is_an_internal_error(fault, monkeypatch, capsys):
+    # the OS's refusal is no usage error: exit 1, not 2, and nothing leaks
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    fds = os.listdir("/proc/self/fd")
+    fault(monkeypatch)
+    assert cli.main(["irregular", "--max-p", "300", "--jobs", "2"]) == 1
+    assert "RuntimeError: could not start a worker: [Errno" in capsys.readouterr().err
+    _assert_no_child_left()
+    assert os.listdir("/proc/self/fd") == fds
 
 
 def test_forked_children_never_flush_the_parents_stdout():

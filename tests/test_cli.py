@@ -79,12 +79,28 @@ def test_runtime_does_not_mention_multiprocessing():
         assert "multiprocessing" not in path.read_text(), path.name
 
 
+# Modules a report on complete data has no use for: the table's digest comes
+# from the built-in _sha256, not OpenSSL through hashlib, and the counting
+# bound is a pair of ints, not a Fraction (which loads numbers and decimal).
+_UNUSED_BY_REPORTS = {"dataclasses", "inspect", "traceback", "hashlib", "_hashlib",
+                      "fractions", "numbers", "decimal", "_decimal"}
+
+
 def test_report_loads_neither_dataclasses_nor_traceback(tmp_path):
     table = tmp_path / "table.tsv"
     table.write_bytes(_synth_e_tables(50))
     loaded = _modules_loaded("report", "--max-p", 50, "--jobs", 1, "--pairing", table)
-    assert "hashlib" in loaded  # the table's digest
-    assert loaded & {"dataclasses", "inspect", "traceback"} == set()
+    assert loaded & _UNUSED_BY_REPORTS == set()
+
+
+def test_criteria_loads_neither_openssl_nor_fractions(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(_synth_e_tables(40))
+    loaded = _modules_loaded("criteria", 37, "--pairing", table)
+    assert "cyclopair.report" in loaded
+    assert loaded & _UNUSED_BY_REPORTS == set()
+    if sys.version_info < (3, 12):
+        assert "_sha256" in loaded  # the table's digest
 
 
 def test_bern_p7():

@@ -1,7 +1,10 @@
-from fractions import Fraction
+import math
+import typing
+from fractions import Fraction  # the oracle of the counting bound only
 from typing import Iterable
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclopair.bernoulli import IrregularSet, irregular_indices
 from cyclopair.criteria import (
@@ -14,13 +17,16 @@ from cyclopair.criteria import (
     HOLDS,
     INCONCLUSIVE,
     TRIVIAL,
+    HeightBound,
     HypothesisFlags,
+    counting_bound,
     gk_verdict,
     greenberg_verdict,
     height_lower_bound,
 )
 from cyclopair.eigenstructure import check_congruences
 from cyclopair.pairing import EligibleSet, PairingTable, eligible_set, synth_b_table, synth_table
+from cyclopair.report import _ratio
 
 IRR_157 = IrregularSet(157, (62, 110))
 IRR_37 = IrregularSet(37, (32,))
@@ -102,7 +108,7 @@ def test_height_singleton_full():
     table = synth_table(37, IRR_37, seed=1)
     hb = height_lower_bound(IRR_37, eligible_set(IRR_37, table), flags_for(37))
     assert hb.d == 18 and hb.bound_exact == 19
-    assert hb.bound_corollary == Fraction(19)
+    assert hb.bound_corollary == (19, 1)
     assert hb.corollary_ceiling == 19
     assert not hb.partial and not hb.zero_module
 
@@ -112,7 +118,7 @@ def test_height_corollary_formula():
     irr = IrregularSet(53, (2, 4))
     elig = EligibleSet(53, tuple(range(1, 41, 2)), ())
     hb = height_lower_bound(irr, elig, flags_for(53))
-    assert hb.bound_corollary == Fraction(23, 3)
+    assert hb.bound_corollary == (23, 3)
     assert hb.corollary_ceiling == 8
     assert hb.bound_exact >= hb.corollary_ceiling
 
@@ -122,7 +128,22 @@ def test_height_s_zero():
     elig = EligibleSet(53, (), ())
     hb = height_lower_bound(irr, elig, flags_for(53))
     assert hb.d == 0 and hb.bound_exact == 1
-    assert hb.bound_corollary == Fraction(1) and hb.corollary_ceiling == 1
+    assert hb.bound_corollary == (1, 1) and hb.corollary_ceiling == 1
+
+
+@given(st.integers(0, 10**6), st.integers(1, 8))
+def test_counting_bound_matches_fraction(s, r):
+    (num, den), ceiling = counting_bound(s, r)
+    exact = Fraction(s, r * r - r + 1) + 1
+    assert math.gcd(num, den) == 1 and den > 0
+    assert Fraction(num, den) == exact
+    assert ceiling == math.ceil(exact)
+    assert _ratio((num, den)) == str(exact)
+
+
+def test_height_bound_type_hints_resolve():
+    hints = typing.get_type_hints(HeightBound)
+    assert hints["bound_corollary"] == tuple[int, int] | None
 
 
 def test_height_zero_module_sentinel():

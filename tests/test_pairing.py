@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import sys
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from cyclopair.pairing import (
     synth_b_table,
     synth_table,
 )
+from cyclopair.report import sha256, table_digest
 
 IRR_1217 = IrregularSet(1217, (784, 866, 1118))
 IRR_37 = IrregularSet(37, (32,))
@@ -312,6 +314,26 @@ def test_read_blocks_uses_the_chunk_constant(monkeypatch):
     assert b"".join(got) == raw
     assert sha.digest() == hashlib.sha256(raw).digest()
     assert list(read_blocks(io.BytesIO(b""), sha)) == []
+
+
+# SHA-256's padding and block edges, and a 1 MB buffer
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 4095, 4096, 4097, 1 << 20])
+def test_sha256_equals_hashlib(size, monkeypatch):
+    raw = random.Random(size).randbytes(size)
+    want = hashlib.sha256(raw).hexdigest()
+    assert sha256(raw).hexdigest() == want
+    assert table_digest(raw) == "sha256:" + want
+    monkeypatch.setattr(pairing, "READ_CHUNK", 64)  # blocks end at the random newlines
+    sha = sha256()
+    assert b"".join(read_blocks(io.BytesIO(raw), sha)) == raw
+    assert sha.hexdigest() == want
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="CPython 3.12 renamed _sha256 to _sha2")
+def test_sha256_is_the_built_in_module():
+    import _sha256
+
+    assert type(sha256()) is type(_sha256.sha256())
 
 
 def test_row_split_across_chunks():

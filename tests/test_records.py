@@ -1,8 +1,6 @@
 """The records passed between layers: built with their invariants, read-only
 once built, and never handed to output code as records."""
 
-from fractions import Fraction
-
 import pytest
 
 from cyclopair.bernoulli import BernoulliRow, IrregularSet
@@ -26,7 +24,7 @@ RECORDS = [
     EligibleSet(37, (1, 3), ()),
     FLAGS,
     Verdict("HOLDS", {}, FLAGS),
-    HeightBound(37, False, 1, 2, Fraction(5, 2), 3, (1,), False, FLAGS),
+    HeightBound(37, False, 1, 2, (5, 2), 3, (1,), False, FLAGS),
     REPORT_37,
 ]
 
