@@ -2,9 +2,14 @@
 
 Subcommands: bern, irregular, congruence-sweep, criteria, report.  Output is
 deterministic: byte-identical across runs and across --jobs settings.  Exit
-codes: 0 success, 1 internal error, 2 usage or data error.  Only errors
-raised where input is validated map to 2 (InputError, PairingFormatError,
-OSError); any other exception is a bug and prints its traceback.
+codes: 0 success, 1 internal error, 2 usage or data error.  Only InputError
+(PairingFormatError among them) and OSError map to 2; any other exception
+is a bug and prints its traceback.
+
+Only the sweep path loads at import.  A command that needs the cache,
+eigenstructure or report modules imports them when it starts, before its
+sweep: ``bern``, ``irregular`` and ``congruence-sweep`` never load the
+pairing, packing, criteria or report modules.
 """
 
 import argparse
@@ -12,7 +17,7 @@ import contextlib
 import os
 import sys
 
-from . import __version__
+from . import InputError, __version__
 from .bernoulli import (
     METHOD_FAST,
     METHOD_NAIVE,
@@ -23,21 +28,12 @@ from .bernoulli import (
     irregular_indices,
     irregular_sweep,
 )
-from .cache import IrregularCache, read_entries
-from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
-from .eigenstructure import congruence_sweep
 from .modmath import MODULUS_LIMIT, require_odd_prime
-from .pairing import PairingFormatError, parse_pairing_file, read_blocks
-from .report import build_report, digest_of, sha256
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 
 # fast rows are cross-checked against the reference recurrence up to here
 CROSS_CHECK_BOUND = 200
-
-
-class InputError(ValueError):
-    """A command-line value or input line the CLI rejects (exit 2)."""
 
 
 def _prime_arg(p: int) -> int:
@@ -53,9 +49,14 @@ def _prime_arg(p: int) -> int:
     return p
 
 
-def _cache_from(args) -> IrregularCache | None:
+def _cache_from(args):
+    """The IrregularCache in --cache or $CYCLOPAIR_CACHE_DIR, or None."""
     directory = args.cache or os.environ.get(CACHE_ENV_VAR)
-    return IrregularCache(directory) if directory else None
+    if not directory:
+        return None
+    from .cache import IrregularCache
+
+    return IrregularCache(directory)
 
 
 def _sweep(args):
@@ -79,7 +80,9 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _resolve_flags(p: int, args) -> HypothesisFlags:
+def _resolve_flags(p: int, args):
+    from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
+
     defaults = HypothesisFlags.defaults_for(p)
     vandiver = defaults.vandiver if args.vandiver == "auto" else args.vandiver
     procyclic = defaults.procyclic if args.procyclic == "auto" else args.procyclic
@@ -129,7 +132,11 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_congruence_sweep(args) -> int:
+    from .eigenstructure import congruence_sweep
+
     if args.source:
+        from .cache import read_entries
+
         raw = _read_input(args.source)
         try:
             entries = read_entries(raw.decode("utf-8").splitlines(), args.source)
@@ -146,12 +153,29 @@ def _cmd_congruence_sweep(args) -> int:
     return 0
 
 
+def parse_pairing_file(source, R_by_p):
+    """pairing.parse_pairing_file, its module loaded on the first call."""
+    from .pairing import parse_pairing_file
+
+    return parse_pairing_file(source, R_by_p)
+
+
+def build_report(irr, table, flags, digest):
+    """report.build_report, its module loaded on the first call."""
+    from .report import build_report
+
+    return build_report(irr, table, flags, digest)
+
+
 def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     """One report per set from irregular_sets() against the --pairing table.
 
     The table is opened first, so a bad path fails before a long sweep, and
     read in one streamed pass once the primes are known.
     """
+    from .pairing import read_blocks
+    from .report import digest_of, sha256
+
     sha = sha256()
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
@@ -244,7 +268,7 @@ def main(argv=None) -> int:
         # stdout at devnull so the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InputError, PairingFormatError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"cyclopair: error: {exc}", file=sys.stderr)
         return 2
     except Exception:

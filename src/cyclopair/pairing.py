@@ -25,12 +25,12 @@ Missing data is explicit and flows through as the ``missing`` component of
 an EligibleSet; nothing here ever invents a value.
 """
 
-import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import compress
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import InputError
 from .bernoulli import IrregularSet
 from .cache import decimal_int
 
@@ -38,7 +38,7 @@ from .cache import decimal_int
 READ_CHUNK = 1 << 12
 
 
-class PairingFormatError(ValueError):
+class PairingFormatError(InputError):
     """Malformed or inconsistent pairing data; message carries the line."""
 
 
@@ -380,6 +380,8 @@ def synth_table(
     zeros = set(zero_keys)
     if bad := [(i, k) for i, k in zeros if not (i % 2 and 1 <= i <= p - 2 and k in R.indices)]:
         raise ValueError(f"zero_keys outside the table: {sorted(bad)}")
+    import random  # only the test and benchmark tables draw numbers
+
     rng = random.Random(seed)
     e_entries = {}
     for i in range(1, p - 1, 2):
@@ -403,6 +405,8 @@ def synth_b_table(
     ]
     if not zeros <= set(pairs):
         raise ValueError(f"zero_pairs outside the table: {sorted(zeros - set(pairs))}")
+    import random  # only the test and benchmark tables draw numbers
+
     rng = random.Random(seed)
     b_entries = {
         pair: 0 if pair in zeros else rng.randrange(1, p) for pair in pairs

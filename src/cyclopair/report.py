@@ -26,9 +26,12 @@ def sha256(data: bytes = b""):
     CPython's random.py: hashlib loads OpenSSL's libcrypto, 3.5 MB more."""
     # imported here, as only a pairing table's digest needs it
     try:
-        from _sha256 import sha256 as new
-    except ImportError:  # CPython 3.12+ names it _sha2
-        from hashlib import sha256 as new
+        from _sha2 import sha256 as new  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256 as new  # up to 3.11
+        except ImportError:  # a build without the built-in modules
+            from hashlib import sha256 as new
     return new(data)
 
 

@@ -27,7 +27,10 @@ def _run(argv, tmp_path):
 
 
 def test_traced_report_counts_parsed_rows(tmp_path):
-    sets = [irr for irr in irregular_sweep(300) if irr.indices]
+    # the tracer patches cli.irregular_sweep, cli.parse_pairing_file and
+    # cli.build_report; each must still be the name the CLI calls through
+    primes = list(irregular_sweep(300))
+    sets = [irr for irr in primes if irr.indices]
     table = tmp_path / "table.tsv"
     table.write_text("".join(
         serialize_pairing_table(synth_table(irr.p, irr, seed=irr.p)) for irr in sets))
@@ -42,3 +45,7 @@ def test_traced_report_counts_parsed_rows(tmp_path):
                for line in path.read_text().splitlines()]
     parses = [r for r in records if r["n"] == "pairing.parse"]
     assert [r["rows"] for r in parses] == [e_rows]
+    sweeps = [r for r in records if r["n"] == "bernoulli.irregular_sweep"]
+    assert [r["primes"] for r in sweeps] == [len(primes)]
+    reports = [r for r in records if r["n"] == "report.build_report"]
+    assert len(reports) == len(primes)

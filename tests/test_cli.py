@@ -22,6 +22,11 @@ def run_cli(*args, stdin=b"", env=None):
     )
 
 
+# the built-in SHA-256 module: _sha256 up to CPython 3.11, _sha2 from 3.12;
+# each version's stdlib_module_names lists only its own name
+_BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 def test_runtime_imports_only_the_standard_library():
     sources = sorted(Path(cli.__file__).parent.glob("*.py"))
     assert len(sources) > 1
@@ -35,8 +40,8 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names or top == "cyclopair", (
-                    path.name, name)
+                assert (top in sys.stdlib_module_names or top in _BUILTIN_SHA256
+                        or top == "cyclopair"), (path.name, name)
 
 
 # Modules a sweep has no use for: dataclasses (and inspect with it), OpenSSL
@@ -61,6 +66,18 @@ def _modules_loaded(*args) -> set[str]:
     return loaded("-m", "cyclopair", *args) - loaded("-c", "pass")
 
 
+# The modules that read pairing tables and write reports: a sweep loads
+# none of them, nor json, which only a report writes with.
+_REPORT_ONLY = {"cyclopair.pairing", "cyclopair.packing", "cyclopair.criteria",
+                "cyclopair.report", "json"}
+# and what each sweep leaves unloaded besides
+_UNUSED_BY_COMMAND = {
+    "irregular": {"cyclopair.eigenstructure"},
+    "bern": {"cyclopair.eigenstructure", "cyclopair.cache"},
+    "congruence-sweep": set(),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["irregular", "--max-p", 50, "--jobs", 1],
     ["irregular", "--max-p", 50, "--jobs", 2],
@@ -71,7 +88,58 @@ def _modules_loaded(*args) -> set[str]:
 def test_sweeps_load_no_module_they_do_not_use(argv):
     loaded = _modules_loaded(*argv)
     assert "cyclopair.cli" in loaded
-    assert loaded & _UNUSED_BY_SWEEPS == set()
+    unused = _UNUSED_BY_SWEEPS | _REPORT_ONLY | _UNUSED_BY_COMMAND[argv[0]]
+    assert loaded & unused == set()
+
+
+# What the package root has re-exported since before its names loaded lazily,
+# by defining module.
+_PUBLIC_NAMES = {
+    "bernoulli": ["BernoulliRow", "IrregularSet", "bernoulli_fast_row",
+                  "bernoulli_naive_row", "bernoulli_voronoi", "irregular_indices",
+                  "irregular_sweep"],
+    "criteria": ["HeightBound", "HypothesisFlags", "Verdict", "gk_verdict",
+                 "greenberg_verdict", "height_lower_bound"],
+    "eigenstructure": ["CongruenceCheckResult", "check_congruences", "congruence_sweep"],
+    "packing": ["PackingInstance", "PackingResult", "brute_force_packing",
+                "conflict_diffs", "max_disjoint_translates_exact"],
+    "pairing": ["EligibleSet", "PairingFormatError", "PairingTable", "b_to_e",
+                "eligible_set", "parse_pairing_file", "serialize_pairing_table",
+                "synth_b_table", "synth_table"],
+}
+
+
+def test_package_root_exports_resolve_to_their_modules():
+    import importlib
+
+    import cyclopair
+
+    for module, names in _PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"cyclopair.{module}")
+        for name in names:
+            assert name in cyclopair.__all__
+            namespace = {}
+            exec(f"from cyclopair import {name}", namespace)
+            assert namespace[name] is getattr(defining, name), name
+    assert "InputError" in cyclopair.__all__
+    assert issubclass(cyclopair.PairingFormatError, cyclopair.InputError)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cyclopair.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cyclopair import no_such_name", {})
+
+
+def test_package_root_loads_a_module_on_first_use():
+    script = ("import sys, cyclopair\n"
+              "print(sorted(m for m in sys.modules if m.startswith('cyclopair')))\n"
+              "from cyclopair import IrregularSet\n"
+              "print(sorted(m for m in sys.modules if m.startswith('cyclopair')))\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "['cyclopair']",
+        "['cyclopair', 'cyclopair.bernoulli', 'cyclopair.modmath']",
+    ]
 
 
 def test_runtime_does_not_mention_multiprocessing():
@@ -99,8 +167,9 @@ def test_criteria_loads_neither_openssl_nor_fractions(tmp_path):
     loaded = _modules_loaded("criteria", 37, "--pairing", table)
     assert "cyclopair.report" in loaded
     assert loaded & _UNUSED_BY_REPORTS == set()
-    if sys.version_info < (3, 12):
-        assert "_sha256" in loaded  # the table's digest
+    # the table's digest: the built-in module (_sha2 from CPython 3.12 on);
+    # -X importtime also lists a name whose import failed
+    assert loaded & _BUILTIN_SHA256
 
 
 def test_bern_p7():
