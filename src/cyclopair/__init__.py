@@ -13,6 +13,15 @@ class InputError(ValueError):
     """A command-line value or input line the CLI rejects (exit 2)."""
 
 
+def decimal_int(field: str) -> int:
+    """The integer a field of ASCII digits spells; the form every file this
+    package reads is written in.  ``int()`` alone would also accept signs,
+    underscores, surrounding spaces and non-ASCII digits."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"{field!r} is not a decimal integer")
+    return int(field)
+
+
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in [
     ("bernoulli", ["BernoulliRow", "IrregularSet", "bernoulli_fast_row",

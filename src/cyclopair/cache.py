@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
-from . import __version__
+from . import __version__, decimal_int
 from .modmath import is_prime
 
 CACHE_FILENAME = "irregular.tsv"
@@ -117,11 +117,3 @@ def _parse_entry(line: str) -> tuple[int, tuple[int, ...]]:
         raise ValueError(f"indices are not sorted, distinct and even in [2, {p - 3}]")
     return p, ks
 
-
-def decimal_int(field: str) -> int:
-    """The integer a field of ASCII digits spells; the form every file this
-    package reads is written in.  ``int()`` alone would also accept signs,
-    underscores, surrounding spaces and non-ASCII digits."""
-    if not (field.isascii() and field.isdigit()):
-        raise ValueError(f"{field!r} is not a decimal integer")
-    return int(field)

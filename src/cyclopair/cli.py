@@ -80,17 +80,21 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _resolve_flags(p: int, args):
+def _flags_for(args):
+    """The map p -> HypothesisFlags at p: its defaults, with each flag option
+    that is not auto put over them."""
     from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 
-    defaults = HypothesisFlags.defaults_for(p)
-    vandiver = defaults.vandiver if args.vandiver == "auto" else args.vandiver
-    procyclic = defaults.procyclic if args.procyclic == "auto" else args.procyclic
-    if args.surjective == "auto":
-        surjective = defaults.pairing_surjective
-    else:
-        surjective = FLAG_TRUE if args.surjective == "yes" else FLAG_UNKNOWN
-    return HypothesisFlags(vandiver, procyclic, surjective)
+    surjective = {"yes": FLAG_TRUE, "no": FLAG_UNKNOWN}.get(args.surjective)
+
+    def flags_for(p: int):
+        defaults = HypothesisFlags.defaults_for(p)
+        return HypothesisFlags(
+            defaults.vandiver if args.vandiver == "auto" else args.vandiver,
+            defaults.procyclic if args.procyclic == "auto" else args.procyclic,
+            surjective or defaults.pairing_surjective)
+
+    return flags_for
 
 
 def _cross_checked_row(p: int, method: str):
@@ -180,9 +184,9 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
         tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})
-    digest = digest_of(sha)
+    digest, flags_for = digest_of(sha), _flags_for(args)
     for irr in sets:
-        report = build_report(irr, tables.get(irr.p), _resolve_flags(irr.p, args), digest)
+        report = build_report(irr, tables.get(irr.p), flags_for(irr.p), digest)
         sys.stdout.write(report.to_json() + "\n" if fmt == "json" else report.to_tsv())
     return 0
 

@@ -16,12 +16,13 @@ records the hypothesis flags it leaned on.
 """
 
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 from .bernoulli import IrregularSet
 from .eigenstructure import CongruenceCheckResult
 from .packing import PackingInstance, max_disjoint_translates_exact
-from .pairing import EligibleSet, PairingTable, b_to_e
+from .pairing import EligibleSet, PairingTable, offsets, pair_status
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -131,16 +132,17 @@ def greenberg_verdict(
             flags,
         )
     if elig.eligible:
+        (witness,) = offsets(elig.eligible & -elig.eligible)  # the lowest set bit
         return Verdict(
             HOLDS,
-            {"witness_offset": elig.eligible[0], "eligible_count": len(elig.eligible)},
+            {"witness_offset": witness, "eligible_count": elig.eligible.bit_count()},
             flags,
         )
     if elig.missing:
         return Verdict(
             CONDITIONAL,
             {"reason": "no eligible offset in the available data",
-             "missing_count": len(elig.missing)},
+             "missing_count": elig.missing.bit_count()},
             flags,
         )
     return Verdict(
@@ -175,7 +177,7 @@ def height_lower_bound(
         raise ValueError("height bound requires the Vandiver flag not false")
     if not irr.indices:
         return HeightBound(irr.p, True, None, None, None, None, (), False, flags)
-    inst = PackingInstance.from_sets(irr.p - 1, irr.indices, elig.eligible)
+    inst = PackingInstance.from_sets(irr.p - 1, irr.indices, offsets(elig.eligible))
     result = max_disjoint_translates_exact(inst)
     partial = not elig.complete
     corollary = ceiling = None
@@ -192,24 +194,6 @@ def height_lower_bound(
         partial,
         flags,
     )
-
-
-def _pair_status(irr: IrregularSet, table: PairingTable, k: int, kp: int) -> str:
-    """The state of the pairing datum for the irregular pair (k, k').
-
-    One of "zero", "nonzero" for an e-backed datum, "nonzero-b" for one
-    known nonzero only through the published b-table (needs surjectivity),
-    or "missing".
-    """
-    b = table.b_entries.get((k, kp))
-    e = table.e_entries.get(b_to_e(irr, k, kp))
-    if b == 0 or e == 0:
-        return "zero"
-    if e is not None:
-        return "nonzero"
-    if b is not None:
-        return "nonzero-b"
-    return "missing"
 
 
 def gk_verdict(
@@ -249,16 +233,12 @@ def gk_verdict(
              "collision_violations": list(cc.collision_violations)},
             flags,
         )
-    pairs = [
-        (k, kp)
-        for idx, k in enumerate(irr.indices)
-        for kp in irr.indices[idx + 1:]
-    ]
+    pairs = list(combinations(irr.indices, 2))  # each k < k', in order
     if table is None:
         table = PairingTable(irr.p)
     zero, missing, b_only = [], [], []
     for k, kp in pairs:
-        status = _pair_status(irr, table, k, kp)
+        status = pair_status(irr, table, k, kp)
         if status == "zero":
             zero.append((k, kp))
         elif status == "missing":

@@ -12,62 +12,79 @@ as zero/nonzero: the tables are normalized only up to a unit.  A b-entry at
 (k, k') and an e-entry at (p-k, k') describe the same datum, so a table that
 carries both with mismatched zeroness is rejected.
 
-A parsed table therefore keeps no values.  Per irregular k it holds two
-bitsets over the odd offsets, bit j standing for i = 2j + 1: ``present``,
-the offsets with a row, and ``zero``, those whose value is 0.  A B row
-(k, k') sets the bit of offset p - k under k', where the e-datum it shares
-lives.  The file is read in one pass, in blocks of whole lines of about
+A parsed table therefore keeps no values.  Per irregular k and row kind it
+holds two bitsets over the odd offsets, bit j standing for i = 2j + 1:
+``present``, the offsets with a row, and ``zero``, those whose value is 0.
+A B row (k, k') sets the bit of offset p - k under k', where the e-datum it
+shares lives.  The file is read in one pass, in blocks of whole lines of about
 ``READ_CHUNK`` bytes, and neither its text, nor a tuple or a dict entry per
-row, is kept: memory grows with the bits, not the rows, and
-``eligible_set`` is a few ANDs per prime.
+row, is kept: memory grows with the bits, not the rows, ``eligible_set``
+is a few ANDs per prime and ``pair_status`` a bit test per row kind.
 
 Missing data is explicit and flows through as the ``missing`` component of
 an EligibleSet; nothing here ever invents a value.
 """
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import compress
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import combinations, compress
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import InputError
+from . import InputError, decimal_int
 from .bernoulli import IrregularSet
-from .cache import decimal_int
 
 # bytes of whole lines per read of a pairing file
 READ_CHUNK = 1 << 12
+
+_NO_MASKS: Mapping[int, int] = MappingProxyType({})
 
 
 class PairingFormatError(InputError):
     """Malformed or inconsistent pairing data; message carries the line."""
 
 
-class PairingTable(NamedTuple):
-    """Pairing data of one prime, read only as zero/nonzero.
+class Rows:
+    """The parsed rows of one kind: ``present[c]`` and ``zero[c]`` are
+    bitsets over the odd offsets (bit j for i = 2j + 1).  E rows (i, k) sit
+    under c = k; B rows (k, k') under c = k' at offset p - k.  ``len()`` is
+    the number of rows."""
 
-    ``b_entries`` maps (k, k') and ``e_entries`` maps (i, k) to a value; a
-    parsed table maps each key to 0 (zero) or 1 (nonzero).  Either defaults
-    to an empty read-only mapping.
-    """
+    __slots__ = ("present", "zero")
+
+    def __init__(self, present: Mapping[int, int] = _NO_MASKS,
+                 zero: Mapping[int, int] = _NO_MASKS):
+        self.present, self.zero = present, zero
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self.present.values())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Rows:
+            return NotImplemented
+        return (self.present, self.zero) == (other.present, other.zero)
+
+
+class PairingTable(NamedTuple):
+    """Pairing data of one prime, read only as zero/nonzero: its B and E
+    rows, each empty by default."""
 
     p: int
-    b_entries: Mapping[tuple[int, int], int] = MappingProxyType({})
-    e_entries: Mapping[tuple[int, int], int] = MappingProxyType({})
+    b_entries: Rows = Rows()
+    e_entries: Rows = Rows()
 
 
 class EligibleSet(NamedTuple):
-    """Odd offsets with all-nonzero pairing data, plus the undetermined ones.
+    """Odd offsets with all-nonzero pairing data, plus the undetermined ones,
+    as bitsets: bit j stands for offset i = 2j + 1.
 
     ``eligible`` holds the odd i in [1, p-2] whose e-entry is present and
     nonzero for every irregular k; ``missing`` the odd i lacking an entry for
-    some k.  Both ascend; a field that holds every odd i may be the
-    ``range`` itself, so compare with ``tuple(...)``.  ``s`` is only
-    meaningful on complete data.
+    some k.  ``s`` is only meaningful on complete data.
     """
 
     p: int
-    eligible: Sequence[int]
-    missing: Sequence[int]
+    eligible: int
+    missing: int
 
     @property
     def complete(self) -> bool:
@@ -75,46 +92,16 @@ class EligibleSet(NamedTuple):
 
     @property
     def s(self) -> int | None:
-        return len(self.eligible) if self.complete else None
+        return self.eligible.bit_count() if self.complete else None
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _offsets(mask: int) -> tuple[int, ...]:
+def offsets(mask: int) -> tuple[int, ...]:
     """The odd offsets i = 2j + 1 of the set bits j of mask, ascending."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit j at index j
     return tuple(compress(range(1, 2 * len(bits), 2), bits))
-
-
-class RowMasks(Mapping):
-    """Parsed rows of one kind as a read-only mapping key -> 0 or 1.
-
-    ``present[c]`` and ``zero[c]`` are bitsets over odd offsets (bit j for
-    i = 2j + 1).  E rows are keyed (i, k) with c = k; B rows are keyed
-    (k, k') with c = k' and i = p - k.
-    """
-
-    __slots__ = ("p", "pairs", "present", "zero")
-
-    def __init__(self, p: int, pairs: bool, present: dict, zero: dict):
-        self.p, self.pairs = p, pairs
-        self.present, self.zero = present, zero
-
-    def __getitem__(self, key) -> int:
-        a, c = key
-        i = self.p - a if self.pairs else a
-        if i > 0 and i % 2 and self.present.get(c, 0) >> (i >> 1) & 1:
-            return 0 if self.zero.get(c, 0) >> (i >> 1) & 1 else 1
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for c, mask in self.present.items():
-            for i in _offsets(mask):
-                yield ((self.p - i) if self.pairs else i), c
-
-    def __len__(self) -> int:
-        return sum(mask.bit_count() for mask in self.present.values())
 
 
 _PRESENT_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
@@ -135,14 +122,13 @@ class _TableReader:
     odd offset and k (0 absent, 1 nonzero, 2 zero), B rows, a few per
     prime, straight into bitsets."""
 
-    __slots__ = ("p", "R", "e_states", "b_present", "b_zero")
+    __slots__ = ("p", "R", "e_states", "b")
 
     def __init__(self, irr: IrregularSet):
         self.p = irr.p
         self.R = irr.indices  # a handful: a tuple is searched as fast as a set
         self.e_states: dict[int, bytearray] = {}
-        self.b_present: dict[int, int] = {}  # k' -> bits of the offsets p - k
-        self.b_zero: dict[int, int] = {}
+        self.b = Rows({}, {})  # k' -> bits of the offsets p - k
 
     def _out_of_range(self, lineno: int, value: int) -> PairingFormatError:
         return PairingFormatError(
@@ -179,18 +165,16 @@ class _TableReader:
                     f"line {lineno}: index {key} is not irregular for {self.p}"
                 )
         bit = 1 << ((self.p - k) >> 1)
-        present = self.b_present.get(kp, 0)
+        present = self.b.present.get(kp, 0)
         if present & bit:
             raise PairingFormatError(f"line {lineno}: duplicate B key ({k},{kp})")
-        self.b_present[kp] = present | bit
+        self.b.present[kp] = present | bit
         if value == 0:
-            self.b_zero[kp] = self.b_zero.get(kp, 0) | bit
+            self.b.zero[kp] = self.b.zero.get(kp, 0) | bit
 
     def table(self) -> PairingTable:
         """The table read, once every pair agrees on zeroness across B and E."""
-        p = self.p
-        b = RowMasks(p, True, self.b_present, self.b_zero)
-        e = RowMasks(p, False, *_masks(self.e_states))
+        p, b, e = self.p, self.b, Rows(*_masks(self.e_states))
         # the highest offset of a disagreement under k' is its smallest k
         disagree = [
             (p + 1 - 2 * bad.bit_length(), kp)
@@ -306,7 +290,68 @@ def parse_pairing_file(
     return {p: readers.pop(p).table() for p in list(readers)}
 
 
-def serialize_pairing_table(table: PairingTable) -> str:
+def b_to_e(irr: IrregularSet, k: int, kp: int) -> tuple[int, int]:
+    """Index of the e-datum carrying the same pairing value as b(k, k')."""
+    # r is a handful, so the sorted index tuple is searched as it stands
+    if k not in irr.indices or kp not in irr.indices:
+        raise ValueError(f"({k}, {kp}) is not a pair of irregular indices for {irr.p}")
+    if k >= kp:
+        raise ValueError("b_to_e needs k < k'")
+    return irr.p - k, kp
+
+
+def pair_status(irr: IrregularSet, table: PairingTable, k: int, kp: int) -> str:
+    """The state of the pairing datum for the irregular pair (k, k').
+
+    One of "zero", "nonzero" for an e-backed datum, "nonzero-b" for one
+    known nonzero only through the published b-table (needs surjectivity),
+    or "missing".
+    """
+    i, _ = b_to_e(irr, k, kp)
+    bit = 1 << (i >> 1)  # b(k, k') and e(p - k, k') share this bit under k'
+    b, e = table.b_entries, table.e_entries
+    if (b.zero.get(kp, 0) | e.zero.get(kp, 0)) & bit:
+        return "zero"
+    if e.present.get(kp, 0) & bit:
+        return "nonzero"
+    if b.present.get(kp, 0) & bit:
+        return "nonzero-b"
+    return "missing"
+
+
+def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
+    """Odd i with e(i,k) present and nonzero for every irregular k.
+
+    Any i with an absent entry lands in ``missing``, never in the eligible
+    set.  With R empty the conjunction is vacuous: every odd i qualifies.
+    """
+    p = irr.p
+    full = (1 << (p - 1) // 2) - 1  # the odd offsets in [1, p-2]
+    if not irr.indices:
+        return EligibleSet(p, full, 0)
+    if table is not None and table.p != p:
+        raise ValueError(f"table is for {table.p}, expected {p}")
+    rows = table.e_entries if table is not None else Rows()
+    known, eligible = full, full  # offsets with an entry, a nonzero one, for every k
+    for k in irr.indices:
+        mask = rows.present.get(k, 0)
+        known &= mask
+        eligible &= mask & ~rows.zero.get(k, 0)
+    return EligibleSet(p, eligible, full & ~known)
+
+
+# -- synthetic tables, for the tests and the benchmark ------------------------
+
+class TableValues(NamedTuple):
+    """A generated table's values by key, (k, k') or (i, k); read only by
+    ``serialize_pairing_table``, whose text ``parse_pairing_file`` reads."""
+
+    p: int
+    b_entries: dict[tuple[int, int], int]
+    e_entries: dict[tuple[int, int], int]
+
+
+def serialize_pairing_table(table: TableValues) -> str:
     """Canonical text form: sorted B rows, then sorted E rows."""
     lines = [
         f"B\t{table.p}\t{k}\t{kp}\t{v}"
@@ -319,62 +364,12 @@ def serialize_pairing_table(table: PairingTable) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def b_to_e(irr: IrregularSet, k: int, kp: int) -> tuple[int, int]:
-    """Index of the e-datum carrying the same pairing value as b(k, k')."""
-    # r is a handful, so the sorted index tuple is searched as it stands
-    if k not in irr.indices or kp not in irr.indices:
-        raise ValueError(f"({k}, {kp}) is not a pair of irregular indices for {irr.p}")
-    if k >= kp:
-        raise ValueError("b_to_e needs k < k'")
-    return irr.p - k, kp
-
-
-def _e_masks(entries: Mapping[tuple[int, int], int], p: int) -> tuple[dict, dict]:
-    """(present, zero) bitsets per k of e-entries; keys that are not an odd
-    offset in [1, p-2] are no row of a table and are skipped."""
-    if isinstance(entries, RowMasks):
-        return entries.present, entries.zero
-    present: dict[int, int] = {}
-    zero: dict[int, int] = {}
-    for (i, k), v in entries.items():
-        if i % 2 and 1 <= i <= p - 2:
-            bit = 1 << (i >> 1)
-            present[k] = present.get(k, 0) | bit
-            if v == 0:
-                zero[k] = zero.get(k, 0) | bit
-    return present, zero
-
-
-def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
-    """Odd i with e(i,k) present and nonzero for every irregular k.
-
-    Any i with an absent entry lands in ``missing``, never in the eligible
-    set.  With R empty the conjunction is vacuous: every odd i qualifies.
-    """
-    p = irr.p
-    odd = range(1, p - 1, 2)
-    if not irr.indices:
-        return EligibleSet(p, odd, ())
-    if table is not None and table.p != p:
-        raise ValueError(f"table is for {table.p}, expected {p}")
-    present, zero = _e_masks(table.e_entries, p) if table is not None else ({}, {})
-    full = (1 << len(odd)) - 1
-    known, eligible = full, full  # offsets with an entry, a nonzero one, for every k
-    for k in irr.indices:
-        mask = present.get(k, 0)
-        known &= mask
-        eligible &= mask & ~zero.get(k, 0)
-    if not known:  # some k without any entry: every offset is missing
-        return EligibleSet(p, (), odd)
-    return EligibleSet(p, _offsets(eligible), _offsets(full & ~known))
-
-
 def synth_table(
     p: int,
     R: IrregularSet,
     zero_keys: Iterable[tuple[int, int]] = (),
     seed: int = 0,
-) -> PairingTable:
+) -> TableValues:
     """Full synthetic e-table: zeros exactly at zero_keys, seeded nonzero
     values elsewhere.  Deterministic in seed."""
     zeros = set(zero_keys)
@@ -384,10 +379,10 @@ def synth_table(
 
     rng = random.Random(seed)
     e_entries = {}
-    for i in range(1, p - 1, 2):
+    for i in range(1, p, 2):  # the odd i in [1, p-2]
         for k in R.indices:
             e_entries[(i, k)] = 0 if (i, k) in zeros else rng.randrange(1, p)
-    return PairingTable(p, {}, e_entries)
+    return TableValues(p, {}, e_entries)
 
 
 def synth_b_table(
@@ -395,14 +390,10 @@ def synth_b_table(
     R: IrregularSet,
     zero_pairs: Iterable[tuple[int, int]] = (),
     seed: int = 0,
-) -> PairingTable:
+) -> TableValues:
     """Full synthetic b-table over the pairs k < k' from R."""
     zeros = set(zero_pairs)
-    pairs = [
-        (k, kp)
-        for idx, k in enumerate(R.indices)
-        for kp in R.indices[idx + 1:]
-    ]
+    pairs = list(combinations(R.indices, 2))  # each k < k', in order
     if not zeros <= set(pairs):
         raise ValueError(f"zero_pairs outside the table: {sorted(zeros - set(pairs))}")
     import random  # only the test and benchmark tables draw numbers
@@ -411,4 +402,4 @@ def synth_b_table(
     b_entries = {
         pair: 0 if pair in zeros else rng.randrange(1, p) for pair in pairs
     }
-    return PairingTable(p, b_entries, {})
+    return TableValues(p, b_entries, {})

@@ -71,8 +71,8 @@ class Report(NamedTuple):
             },
             "pairing": {
                 "s": self.elig.s,
-                "eligible": len(self.elig.eligible),
-                "missing": len(self.elig.missing),
+                "eligible": self.elig.eligible.bit_count(),
+                "missing": self.elig.missing.bit_count(),
             },
             "height": {
                 "module_zero": h.zero_module if h else False,

@@ -32,7 +32,7 @@ from cyclopair.packing import (
     translates_disjoint,
 )
 from cyclopair.pairing import eligible_set, parse_pairing_file, synth_b_table, synth_table
-from helpers import zero_indices
+from helpers import parsed, row_values, zero_indices
 from test_packing import max_disjoint_translates_greedy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -127,7 +127,7 @@ def test_acceptance_5_gk_verdicts(sweep_25000, sweep_1000):
     for p, ((k, kp), _) in EXCEPTIONAL.items():
         irr = by_p[p]
         table = parse_pairing_file([fixture_text], {p: irr})[p]
-        if table.b_entries.get((k, kp)) != 0:
+        if row_values(table)[0].get((k, kp)) != 0:
             failures.append(("fixture zero missing", p))
         verdict = gk_verdict(irr, check_congruences(irr), table,
                              HypothesisFlags.defaults_for(p))
@@ -136,7 +136,7 @@ def test_acceptance_5_gk_verdicts(sweep_25000, sweep_1000):
     for irr in sweep_1000:
         if not irr.indices:
             continue
-        table = synth_b_table(irr.p, irr, seed=5)
+        table = parsed(irr, synth_b_table(irr.p, irr, seed=5))
         verdict = gk_verdict(irr, check_congruences(irr), table,
                              HypothesisFlags.defaults_for(irr.p))
         if verdict.status != HOLDS:
@@ -180,7 +180,7 @@ def test_acceptance_7_greenberg_height_coupling():
         if not irr.indices:
             continue
         flags = HypothesisFlags.defaults_for(irr.p)
-        elig = eligible_set(irr, synth_table(irr.p, irr, seed=11))
+        elig = eligible_set(irr, parsed(irr, synth_table(irr.p, irr, seed=11)))
         verdict = greenberg_verdict(irr, elig, flags)
         bound = height_lower_bound(irr, elig, flags)
         if verdict.status != HOLDS:

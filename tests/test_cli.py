@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -54,10 +55,12 @@ _UNUSED_BY_SWEEPS = {"dataclasses", "inspect", "hashlib", "_hashlib", "decimal",
 
 def _modules_loaded(*args) -> set[str]:
     """The modules a run loads beyond those of a bare interpreter, from
-    -X importtime."""
+    -X importtime, with no cache directory in the environment."""
+    env = {name: value for name, value in os.environ.items() if name != cli.CACHE_ENV_VAR}
+
     def loaded(*argv):
         res = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
-                             capture_output=True)
+                             capture_output=True, env=env)
         assert res.returncode == 0, res.stderr.decode()
         return {line.rpartition("|")[2].strip()
                 for line in res.stderr.decode().splitlines()
@@ -159,6 +162,8 @@ def test_report_loads_neither_dataclasses_nor_traceback(tmp_path):
     table.write_bytes(_synth_e_tables(50))
     loaded = _modules_loaded("report", "--max-p", 50, "--jobs", 1, "--pairing", table)
     assert loaded & _UNUSED_BY_REPORTS == set()
+    # without --cache, nothing loads the cache module (nor tempfile and pathlib)
+    assert "cyclopair.cache" not in loaded
 
 
 def test_criteria_loads_neither_openssl_nor_fractions(tmp_path):
@@ -167,6 +172,7 @@ def test_criteria_loads_neither_openssl_nor_fractions(tmp_path):
     loaded = _modules_loaded("criteria", 37, "--pairing", table)
     assert "cyclopair.report" in loaded
     assert loaded & _UNUSED_BY_REPORTS == set()
+    assert "cyclopair.cache" not in loaded
     # the table's digest: the built-in module (_sha2 from CPython 3.12 on);
     # -X importtime also lists a name whose import failed
     assert loaded & _BUILTIN_SHA256
@@ -327,6 +333,24 @@ def test_criteria_reads_stdin():
     res = run_cli("criteria", 37, "--pairing", "-",
                   stdin=serialize_pairing_table(table).encode())
     assert json.loads(res.stdout)["height"]["bound_exact"] == 19
+
+
+@pytest.mark.parametrize("p", [157, 1217, 13_000_000])
+def test_flag_options_override_only_the_flag_they_name(p):
+    from cyclopair.criteria import HypothesisFlags
+
+    defaults = HypothesisFlags.defaults_for(p)
+    surjective_flag = {"auto": defaults.pairing_surjective, "yes": "true", "no": "unknown"}
+    for vandiver in ("auto", "true", "assumed", "false-unknown"):
+        for procyclic in ("auto", "true", "assumed", "false-unknown"):
+            for surjective in ("auto", "yes", "no"):
+                args = cli.build_parser().parse_args([
+                    "criteria", str(p), "--pairing", "-", "--vandiver", vandiver,
+                    "--procyclic", procyclic, "--surjective", surjective])
+                assert cli._flags_for(args)(p) == HypothesisFlags(
+                    defaults.vandiver if vandiver == "auto" else vandiver,
+                    defaults.procyclic if procyclic == "auto" else procyclic,
+                    surjective_flag[surjective])
 
 
 def test_criteria_tsv_format():

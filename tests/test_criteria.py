@@ -4,7 +4,7 @@ from fractions import Fraction  # the oracle of the counting bound only
 from typing import Iterable
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclopair.bernoulli import IrregularSet, irregular_indices
 from cyclopair.criteria import (
@@ -25,8 +25,16 @@ from cyclopair.criteria import (
     height_lower_bound,
 )
 from cyclopair.eigenstructure import check_congruences
-from cyclopair.pairing import EligibleSet, PairingTable, eligible_set, synth_b_table, synth_table
+from cyclopair.pairing import (
+    EligibleSet,
+    PairingTable,
+    TableValues,
+    eligible_set,
+    synth_b_table,
+    synth_table,
+)
 from cyclopair.report import _ratio
+from helpers import parsed
 
 IRR_157 = IrregularSet(157, (62, 110))
 IRR_37 = IrregularSet(37, (32,))
@@ -68,16 +76,24 @@ def test_greenberg_regular_trivial():
 
 
 def test_greenberg_holds_on_full_table():
-    table = synth_table(157, IRR_157, seed=4)
+    table = parsed(IRR_157, synth_table(157, IRR_157, seed=4))
     v = greenberg_verdict(IRR_157, eligible_set(IRR_157, table), flags_for(157))
     assert v.status == HOLDS
+    assert v.detail == {"witness_offset": 1, "eligible_count": 78}
+
+
+def test_greenberg_witness_is_the_smallest_eligible_offset():
+    zero_keys = {(i, 110) for i in range(1, 9, 2)}
+    table = parsed(IRR_157, synth_table(157, IRR_157, zero_keys=zero_keys, seed=4))
+    v = greenberg_verdict(IRR_157, eligible_set(IRR_157, table), flags_for(157))
+    assert v.detail == {"witness_offset": 9, "eligible_count": 74}
 
 
 def test_greenberg_inconclusive_on_complete_empty():
     zero_keys = {(i, 62) for i in range(1, 156, 2)}
-    table = synth_table(157, IRR_157, zero_keys=zero_keys, seed=4)
+    table = parsed(IRR_157, synth_table(157, IRR_157, zero_keys=zero_keys, seed=4))
     elig = eligible_set(IRR_157, table)
-    assert elig.eligible == () and elig.complete
+    assert elig.eligible == 0 and elig.complete
     v = greenberg_verdict(IRR_157, elig, flags_for(157))
     assert v.status == INCONCLUSIVE
 
@@ -86,6 +102,7 @@ def test_greenberg_conditional_on_missing():
     elig = eligible_set(IRR_157, PairingTable(157))  # nothing known
     v = greenberg_verdict(IRR_157, elig, flags_for(157))
     assert v.status == CONDITIONAL
+    assert v.detail["missing_count"] == 78
 
 
 def test_greenberg_requires_matching_prime():
@@ -94,7 +111,7 @@ def test_greenberg_requires_matching_prime():
 
 
 def test_greenberg_without_vandiver():
-    table = synth_table(157, IRR_157, seed=4)
+    table = parsed(IRR_157, synth_table(157, IRR_157, seed=4))
     v = greenberg_verdict(
         IRR_157, eligible_set(IRR_157, table),
         flags_for(157, vandiver=FLAG_FALSE_UNKNOWN),
@@ -105,7 +122,7 @@ def test_greenberg_without_vandiver():
 # --- height lower bound ---
 
 def test_height_singleton_full():
-    table = synth_table(37, IRR_37, seed=1)
+    table = parsed(IRR_37, synth_table(37, IRR_37, seed=1))
     hb = height_lower_bound(IRR_37, eligible_set(IRR_37, table), flags_for(37))
     assert hb.d == 18 and hb.bound_exact == 19
     assert hb.bound_corollary == (19, 1)
@@ -116,7 +133,7 @@ def test_height_singleton_full():
 def test_height_corollary_formula():
     # fabricated complete data: s = 20 with r = 2 gives 20/3 + 1 = 23/3
     irr = IrregularSet(53, (2, 4))
-    elig = EligibleSet(53, tuple(range(1, 41, 2)), ())
+    elig = EligibleSet(53, (1 << 20) - 1, 0)  # the offsets 1, 3, ..., 39
     hb = height_lower_bound(irr, elig, flags_for(53))
     assert hb.bound_corollary == (23, 3)
     assert hb.corollary_ceiling == 8
@@ -125,7 +142,7 @@ def test_height_corollary_formula():
 
 def test_height_s_zero():
     irr = IrregularSet(53, (2, 4))
-    elig = EligibleSet(53, (), ())
+    elig = EligibleSet(53, 0, 0)
     hb = height_lower_bound(irr, elig, flags_for(53))
     assert hb.d == 0 and hb.bound_exact == 1
     assert hb.bound_corollary == (1, 1) and hb.corollary_ceiling == 1
@@ -154,7 +171,7 @@ def test_height_zero_module_sentinel():
 
 
 def test_height_partial_data_conservative():
-    table = PairingTable(157, {}, {(i, 62): 1 for i in range(1, 156, 2)})
+    table = parsed(IRR_157, TableValues(157, {}, {(i, 62): 1 for i in range(1, 156, 2)}))
     elig = eligible_set(IRR_157, table)  # 110-column entirely missing
     assert not elig.complete
     hb = height_lower_bound(IRR_157, elig, flags_for(157))
@@ -176,7 +193,7 @@ def test_height_exact_dominates_corollary_on_complete_data():
     # bound can never fall below the corollary ceiling
     for p in (157, 353, 379):
         irr = irregular_indices(p)
-        elig = eligible_set(irr, synth_table(p, irr, seed=8))
+        elig = eligible_set(irr, parsed(irr, synth_table(p, irr, seed=8)))
         hb = height_lower_bound(irr, elig, flags_for(p))
         assert hb.bound_exact >= hb.corollary_ceiling
 
@@ -194,21 +211,21 @@ def test_gk_rank_le_1_holds():
 
 
 def test_gk_zero_pair_fails_unconditionally():
-    table = synth_b_table(157, IRR_157, zero_pairs={(62, 110)}, seed=1)
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, zero_pairs={(62, 110)}, seed=1))
     v = gk_for(IRR_157, table, pairing_surjective=FLAG_UNKNOWN)
     assert v.status == FAILS
     assert v.detail["zero_pairs"] == [(62, 110)]
 
 
 def test_gk_all_nonzero_surjective_holds():
-    table = synth_b_table(157, IRR_157, seed=1)
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
     v = gk_for(IRR_157, table)  # p < 1000: surjectivity known
     assert v.status == HOLDS
 
 
 def test_gk_all_nonzero_unknown_surjectivity_conditional():
     irr = irregular_indices(1217)
-    table = synth_b_table(1217, irr, seed=1)
+    table = parsed(irr, synth_b_table(1217, irr, seed=1))
     v = gk_for(irr, table)
     assert v.status == CONDITIONAL
     assert "surjective" in v.detail["reason"]
@@ -219,14 +236,14 @@ def test_gk_e_backed_nonzero_needs_no_surjectivity():
     irr = irregular_indices(1217)
     e_entries = {(1217 - k, kp): 3 for idx, k in enumerate(irr.indices)
                  for kp in irr.indices[idx + 1:]}
-    v = gk_for(irr, PairingTable(1217, {}, e_entries))
+    v = gk_for(irr, parsed(irr, TableValues(1217, {}, e_entries)))
     assert v.status == HOLDS
 
 
 def test_gk_zero_e_entry_fails():
     irr = irregular_indices(1217)
     e_entries = {(1217 - 784, 866): 0}
-    v = gk_for(irr, PairingTable(1217, {}, e_entries))
+    v = gk_for(irr, parsed(irr, TableValues(1217, {}, e_entries)))
     assert v.status == FAILS
 
 
@@ -242,13 +259,13 @@ def test_gk_missing_pairs_conditional():
 
 def test_gk_congruence_violation_inconclusive():
     irr = IrregularSet(13, (4, 10))  # synthetic: 4 + 10 == 2 mod 12
-    table = synth_b_table(13, irr, seed=1)
+    table = parsed(irr, synth_b_table(13, irr, seed=1))
     v = gk_verdict(irr, check_congruences(irr), table, flags_for(13))
     assert v.status == INCONCLUSIVE
 
 
 def test_gk_without_hypotheses_inconclusive():
-    table = synth_b_table(157, IRR_157, seed=1)
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
     v = gk_for(IRR_157, table, procyclic=FLAG_FALSE_UNKNOWN)
     assert v.status == INCONCLUSIVE
 
@@ -256,21 +273,67 @@ def test_gk_without_hypotheses_inconclusive():
 def test_gk_zero_dominates_missing():
     # one pair zero, the other pairs absent: still FAILS
     irr = irregular_indices(1217)
-    table = PairingTable(1217, {(784, 866): 0}, {})
+    table = parsed(irr, TableValues(1217, {(784, 866): 0}, {}))
     assert gk_for(irr, table).status == FAILS
 
 
 def test_gk_monotone_toward_fails():
-    table = synth_b_table(157, IRR_157, seed=1)
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
     base = gk_for(IRR_157, table).status
-    zeroed = PairingTable(157, {(62, 110): 0}, {})
+    zeroed = parsed(IRR_157, TableValues(157, {(62, 110): 0}, {}))
     assert base == HOLDS
     assert gk_for(IRR_157, zeroed).status == FAILS
 
 
 def test_verdicts_are_pure():
-    table = synth_b_table(157, IRR_157, seed=1)
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
     assert gk_for(IRR_157, table) == gk_for(IRR_157, table)
+
+
+IRR_1217 = IrregularSet(1217, (784, 866, 1118))
+# (b, e) of one pair: absent, zero or nonzero, agreeing on zeroness when both
+# are present (the parse rejects a table where they disagree)
+_PAIR_STATES = [(b, e) for b in (None, 0, 1) for e in (None, 0, 1)
+                if b is None or e is None or b == e]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(_PAIR_STATES), min_size=3, max_size=3),
+       st.dictionaries(st.tuples(st.integers(0, 607), st.sampled_from(IRR_1217.indices)),
+                       st.integers(0, 1216), max_size=12),
+       st.randoms(use_true_random=False))
+def test_gk_pairs_match_a_reference_by_key(states, filler, rng):
+    # random B and E rows for the three pairs of an r = 3 prime, with E rows
+    # at other offsets around them; the reference reads the generated values
+    # by key, the verdict reads the parsed bitsets
+    p, pairs = 1217, [(784, 866), (784, 1118), (866, 1118)]
+    e_entries = {(2 * j + 1, k): v for (j, k), v in filler.items()}
+    b_entries = {}
+    for (k, kp), (b, e) in zip(pairs, states):
+        e_entries.pop((p - k, kp), None)
+        if b is not None:
+            b_entries[(k, kp)] = b and rng.randrange(1, p)
+        if e is not None:
+            e_entries[(p - k, kp)] = e and rng.randrange(1, p)
+    zero, missing, b_only = [], [], []
+    for k, kp in pairs:
+        b, e = b_entries.get((k, kp)), e_entries.get((p - k, kp))
+        if b == 0 or e == 0:
+            zero.append((k, kp))
+        elif b is None and e is None:
+            missing.append((k, kp))
+        elif e is None:
+            b_only.append((k, kp))
+    assert check_congruences(IRR_1217).ok
+    v = gk_for(IRR_1217, parsed(IRR_1217, TableValues(p, b_entries, e_entries)))
+    if zero:
+        assert (v.status, v.detail["zero_pairs"]) == (FAILS, zero)
+    elif missing:
+        assert (v.status, v.detail["missing_pairs"]) == (CONDITIONAL, missing)
+    elif b_only:  # surjectivity is unknown above 1000
+        assert (v.status, v.detail["b_only_pairs"]) == (CONDITIONAL, b_only)
+    else:
+        assert (v.status, v.detail["checked_pairs"]) == (HOLDS, pairs)
 
 
 # --- remark ranges ---

@@ -23,6 +23,7 @@ from cyclopair.packing import (
     translates_disjoint,
 )
 from cyclopair.pairing import eligible_set, synth_table
+from helpers import parsed
 
 ODDS_12 = (1, 3, 5, 7, 9, 11)
 
@@ -464,7 +465,7 @@ def test_still_connected_matches_full_search():
 
 def synth_table_bound(p, zero_keys=()):
     irr = irregular_indices(p)
-    elig = eligible_set(irr, synth_table(p, irr, zero_keys, seed=11))
+    elig = eligible_set(irr, parsed(irr, synth_table(p, irr, zero_keys, seed=11)))
     return irr, height_lower_bound(irr, elig, HypothesisFlags.defaults_for(p))
 
 

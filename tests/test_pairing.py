@@ -13,8 +13,11 @@ from cyclopair.pairing import (
     EligibleSet,
     PairingFormatError,
     PairingTable,
+    Rows,
+    TableValues,
     b_to_e,
     eligible_set,
+    offsets,
     parse_pairing_file,
     read_blocks,
     serialize_pairing_table,
@@ -22,6 +25,7 @@ from cyclopair.pairing import (
     synth_table,
 )
 from cyclopair.report import sha256, table_digest
+from helpers import parsed, row_values
 
 IRR_1217 = IrregularSet(1217, (784, 866, 1118))
 IRR_37 = IrregularSet(37, (32,))
@@ -33,8 +37,7 @@ def parse_one(text, irr):
 
 def test_parse_b_row():
     table = parse_one("B\t1217\t784\t866\t0\n", IRR_1217)
-    assert table.b_entries == {(784, 866): 0}
-    assert table.e_entries == {}
+    assert row_values(table) == ({(784, 866): 0}, {})
 
 
 def test_parse_empty():
@@ -45,14 +48,13 @@ def test_parse_empty():
 def test_parse_e_row():
     # a parsed table keeps zeroness only: 1 stands for any nonzero value
     table = parse_one("E\t37\t7\t32\t5\n", IRR_37)
-    assert table.e_entries == {(7, 32): 1}
+    assert row_values(table) == ({}, {(7, 32): 1})
 
 
 def test_parse_skips_comments_and_other_primes():
     text = "# header\nB\t1217\t784\t866\t0\nE\t37\t7\t32\t5\n"
     table = parse_one(text, IRR_37)
-    assert table.e_entries == {(7, 32): 1}
-    assert table.b_entries == {}
+    assert row_values(table) == ({}, {(7, 32): 1})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -99,11 +101,12 @@ def test_parse_rejects_b_e_zeroness_mismatch():
         parse_one(text, IRR_1217)
     ok = "B\t1217\t784\t866\t5\nE\t1217\t433\t866\t9\n"
     table = parse_one(ok, IRR_1217)
-    assert table.b_entries[(784, 866)] == 1
+    assert row_values(table)[0] == {(784, 866): 1}
 
 
 def zeroness(entries):
-    return {key: v == 0 for key, v in entries.items()}
+    """key -> 0 or 1 for the values of a TableValues field, as a parse keeps them."""
+    return {key: int(v != 0) for key, v in entries.items()}
 
 
 def test_roundtrip_canonical():
@@ -111,16 +114,15 @@ def test_roundtrip_canonical():
     for seed in range(5):
         table = synth_table(37, IRR_37, zero_keys={(5, 32)}, seed=seed)
         text = serialize_pairing_table(table)
-        # shuffle lines and sprinkle comments; the zeroness of every key and
-        # the canonical form of the parse must survive
+        # shuffle lines and sprinkle comments; the zeroness of every key
+        # survives, and so does the parse of the zeroness alone
         lines = text.splitlines()
         rng.shuffle(lines)
         noisy = "# noise\n" + "\n".join(lines) + "\n"
         reparsed = parse_one(noisy, IRR_37)
-        assert zeroness(reparsed.e_entries) == zeroness(table.e_entries)
-        again = parse_one(text, IRR_37)
-        assert serialize_pairing_table(reparsed) == serialize_pairing_table(again)
-        assert parse_one(serialize_pairing_table(again), IRR_37) == again
+        assert row_values(reparsed) == ({}, zeroness(table.e_entries))
+        assert reparsed == parse_one(text, IRR_37)
+        assert parsed(IRR_37, TableValues(37, *row_values(reparsed))) == reparsed
 
 
 def test_parse_pairing_file_multi_prime():
@@ -131,7 +133,7 @@ def test_parse_pairing_file_multi_prime():
     )
     tables = parse_pairing_file([text.encode()], {37: IRR_37, 1217: IRR_1217})
     assert set(tables) == {37, 1217}
-    assert tables[1217].b_entries == {(784, 866): 0}
+    assert row_values(tables[1217]) == ({(784, 866): 0}, {})
 
 
 def test_b_to_e_paper_triples():
@@ -149,51 +151,49 @@ def test_b_to_e_rejects_non_irregular():
 
 def test_eligible_empty_r_is_all_odds():
     elig = eligible_set(IrregularSet(11, ()), None)
-    assert tuple(elig.eligible) == (1, 3, 5, 7, 9)
-    assert elig.missing == ()
+    assert elig == EligibleSet(11, 0b11111, 0)
+    assert offsets(elig.eligible) == (1, 3, 5, 7, 9)
     assert elig.s == 5
 
 
 def test_eligible_full_table():
-    table = synth_table(37, IRR_37, seed=1)
-    elig = eligible_set(IRR_37, table)
-    assert elig.eligible == tuple(range(1, 36, 2))
+    elig = eligible_set(IRR_37, parsed(IRR_37, synth_table(37, IRR_37, seed=1)))
+    assert offsets(elig.eligible) == tuple(range(1, 36, 2))
     assert elig.s == 18
 
 
 def test_eligible_single_zero_removes_offset():
-    table = synth_table(37, IRR_37, zero_keys={(3, 32)}, seed=1)
+    table = parsed(IRR_37, synth_table(37, IRR_37, zero_keys={(3, 32)}, seed=1))
     elig = eligible_set(IRR_37, table)
-    assert 3 not in elig.eligible
-    assert set(elig.eligible) == set(range(1, 36, 2)) - {3}
-    assert elig.missing == ()
+    assert set(offsets(elig.eligible)) == set(range(1, 36, 2)) - {3}
+    assert elig.missing == 0
 
 
 def test_eligible_missing_is_explicit():
-    table = PairingTable(37, {}, {(1, 32): 4})
+    table = parsed(IRR_37, TableValues(37, {}, {(1, 32): 4}))
     elig = eligible_set(IRR_37, table)
-    assert elig.eligible == (1,)
-    assert set(elig.missing) == set(range(3, 36, 2))
+    assert offsets(elig.eligible) == (1,)
+    assert offsets(elig.missing) == tuple(range(3, 36, 2))
     assert elig.s is None
     assert not elig.complete
 
 
 def test_eligible_table_prime_mismatch():
     with pytest.raises(ValueError):
-        eligible_set(IRR_37, synth_table(11, IrregularSet(11, ()), seed=0))
+        eligible_set(IRR_37, PairingTable(11))
 
 
 @settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=17), st.randoms(use_true_random=False))
-def test_eligible_monotone_under_zeroing(idx, rng):
+@given(st.integers(min_value=0, max_value=17))
+def test_eligible_monotone_under_zeroing(idx):
     # zeroing one more entry never grows the eligible set
     base = synth_table(37, IRR_37, seed=3)
-    keys = sorted(base.e_entries)
-    key = keys[idx * len(keys) // 18]
-    zeroed = PairingTable(37, {}, {**base.e_entries, key: 0})
-    before = set(eligible_set(IRR_37, base).eligible)
-    after = set(eligible_set(IRR_37, zeroed).eligible)
-    assert after <= before
+    key = sorted(base.e_entries)[idx]
+    zeroed = TableValues(37, {}, {**base.e_entries, key: 0})
+    before = eligible_set(IRR_37, parsed(IRR_37, base)).eligible
+    after = eligible_set(IRR_37, parsed(IRR_37, zeroed)).eligible
+    assert after & ~before == 0
+    assert key[0] not in offsets(after)
 
 
 @settings(max_examples=60)
@@ -201,22 +201,21 @@ def test_eligible_monotone_under_zeroing(idx, rng):
 def test_eligible_monotone_under_adding(idx):
     # filling in one absent nonzero entry never shrinks the eligible set
     full = synth_table(37, IRR_37, seed=3)
-    keys = sorted(full.e_entries)
-    removed = keys[idx * len(keys) // 18]
-    partial = {k: v for k, v in full.e_entries.items() if k != removed}
-    before = eligible_set(IRR_37, PairingTable(37, {}, partial))
-    after = eligible_set(IRR_37, full)
-    assert set(before.eligible) <= set(after.eligible)
-    assert removed[0] in before.missing
+    removed = sorted(full.e_entries)[idx]
+    partial = TableValues(37, {}, {k: v for k, v in full.e_entries.items() if k != removed})
+    before = eligible_set(IRR_37, parsed(IRR_37, partial))
+    after = eligible_set(IRR_37, parsed(IRR_37, full))
+    assert before.eligible & ~after.eligible == 0
+    assert offsets(before.missing) == (removed[0],)
 
 
-
-def _eligible_set_per_offset(irr, table):
-    # reference: look up every (i, k) of the conjunction, offset by offset
+def _eligible_set_per_offset(irr, values):
+    # reference: look up the value of every (i, k) of the conjunction,
+    # offset by offset, in the generated table
     odd = range(1, irr.p - 1, 2)
     if not irr.indices:
-        return EligibleSet(irr.p, tuple(odd), ())
-    entries = table.e_entries if table is not None else {}
+        return tuple(odd), ()
+    entries = values.e_entries if values is not None else {}
     eligible, missing = [], []
     for i in odd:
         vals = [entries.get((i, k)) for k in irr.indices]
@@ -224,20 +223,20 @@ def _eligible_set_per_offset(irr, table):
             missing.append(i)
         elif all(v != 0 for v in vals):
             eligible.append(i)
-    return EligibleSet(irr.p, tuple(eligible), tuple(missing))
+    return tuple(eligible), tuple(missing)
 
 
-def assert_matches_reference(irr, table):
-    got, want = eligible_set(irr, table), _eligible_set_per_offset(irr, table)
-    # a field that holds every odd offset is a range, not a tuple
-    assert (got.p, tuple(got.eligible), tuple(got.missing)) == (
-        want.p, want.eligible, want.missing)
+def assert_matches_reference(irr, values):
+    table = parsed(irr, values) if values is not None else None
+    got = eligible_set(irr, table)
+    assert got.p == irr.p
+    assert (offsets(got.eligible), offsets(got.missing)) == _eligible_set_per_offset(irr, values)
 
 
 def test_eligible_matches_per_offset_reference():
     rng = random.Random(20261018)
     cases = [IRR_37, IrregularSet(101, (68,)), IrregularSet(491, (292, 336, 338)),
-             IrregularSet(7069, (1478, 2570)), IRR_1217]
+             IrregularSet(7069, (1478, 2570)), IRR_1217, IrregularSet(11, ())]
     for irr in cases:
         assert_matches_reference(irr, None)
         for _ in range(5):
@@ -247,20 +246,9 @@ def test_eligible_matches_per_offset_reference():
             dropped = set(rng.sample(keys, rng.randint(0, len(keys) // 4)))
             entries = {key: 0 if key in zeroed else v
                        for key, v in full.items() if key not in dropped}
-            table = PairingTable(irr.p, {}, entries)
-            assert_matches_reference(irr, table)
-        # keys a parsed table never has: even, negative or too large offsets,
-        # and an index outside R
-        k = irr.indices[0]
-        stray = {(2, k): 0, (-1, k): 0, (irr.p, k): 0, (irr.p + 2, k): 5, (1, k + 1): 0}
-        table = PairingTable(irr.p, {}, {**full, **stray})
-        assert_matches_reference(irr, table)
-        # no e-entry for any k in R: a b-only table, and one whose e-entries
-        # all sit at an index outside R
-        b_only = synth_b_table(irr.p, irr, seed=rng.randrange(10**6))
-        outside = PairingTable(irr.p, {}, {(i, k + 2): 1 for i in range(1, irr.p - 1, 2)})
-        for table in (b_only, outside):
-            assert_matches_reference(irr, table)
+            assert_matches_reference(irr, TableValues(irr.p, {}, entries))
+        # no e-entry for any k in R: a b-only table
+        assert_matches_reference(irr, synth_b_table(irr.p, irr, seed=rng.randrange(10**6)))
 
 
 def test_synth_table_examples():
@@ -341,7 +329,7 @@ def test_row_split_across_chunks():
     table = synth_table(37, IRR_37, zero_keys={(5, 32)}, seed=2)
     raw = ("# a header\n" + serialize_pairing_table(table)).encode()
     whole = parse_pairing_file([raw], {37: IRR_37})[37]
-    assert zeroness(whole.e_entries) == zeroness(table.e_entries)
+    assert row_values(whole) == ({}, zeroness(table.e_entries))
     for size in (1, 2, 3, 7, 11, 16, 100):
         assert parse_chunked(raw, {37: IRR_37}, size) == {37: whole}
 
@@ -349,7 +337,7 @@ def test_row_split_across_chunks():
 def test_multibyte_comment_split_across_chunks():
     raw = "# café ✓ \U0001f600\nE\t37\t7\t32\t0\n".encode()
     for size in range(1, len(raw) + 1):
-        assert parse_chunked(raw, {37: IRR_37}, size)[37].e_entries == {(7, 32): 0}
+        assert row_values(parse_chunked(raw, {37: IRR_37}, size)[37]) == ({}, {(7, 32): 0})
 
 
 def test_crlf_and_other_line_breaks_number_lines_as_splitlines():
@@ -362,7 +350,8 @@ def test_crlf_and_other_line_breaks_number_lines_as_splitlines():
         assert parse_error(raw, {37: IRR_37}, size) == (
             f"line {bad}: i must be odd in [1, p-2], got 8")
     good = raw[:raw.index(b"E\t37\t8")]
-    assert set(parse_chunked(good, {37: IRR_37}, 4)[37].e_entries) == {(1, 32), (3, 32), (5, 32)}
+    assert set(row_values(parse_chunked(good, {37: IRR_37}, 4)[37])[1]) == {
+        (1, 32), (3, 32), (5, 32)}
 
 
 def test_undecodable_byte_past_first_chunk_names_its_file_position():
@@ -440,8 +429,11 @@ def test_zeroness_disagreement_names_the_smallest_pair():
 def test_parsed_table_keeps_no_values():
     text = "B\t1217\t784\t866\t0\nB\t1217\t784\t1118\t7\nE\t1217\t1\t866\t0\nE\t1217\t3\t866\t9\n"
     table = parse_one(text, IRR_1217)
-    assert dict(table.b_entries) == {(784, 866): 0, (784, 1118): 1}
-    assert dict(table.e_entries) == {(1, 866): 0, (3, 866): 1}
+    assert row_values(table) == ({(784, 866): 0, (784, 1118): 1}, {(1, 866): 0, (3, 866): 1})
     assert (len(table.b_entries), len(table.e_entries)) == (2, 2)
-    for absent in [(866, 1118), (5, 866), (1, 784), (2, 866), (-1, 866), (1217, 866)]:
-        assert absent not in table.e_entries and absent not in table.b_entries
+    # bit j is offset 2j + 1; b(784, k') sits at offset 1217 - 784 = 433 under k'
+    assert table.b_entries == Rows({866: 1 << 216, 1118: 1 << 216}, {866: 1 << 216})
+    assert table.e_entries == Rows({866: 0b11}, {866: 0b01})
+    assert table == PairingTable(1217, table.b_entries, table.e_entries)
+    assert PairingTable(1217) == (1217, Rows(), Rows())
+    assert table.b_entries != table.e_entries and Rows() != {}

@@ -7,12 +7,14 @@ from cyclopair.bernoulli import BernoulliRow, IrregularSet
 from cyclopair.criteria import HeightBound, HypothesisFlags, Verdict
 from cyclopair.eigenstructure import CongruenceCheckResult
 from cyclopair.packing import PackingInstance, PackingResult
-from cyclopair.pairing import EligibleSet, PairingTable, synth_table
+from cyclopair.pairing import EligibleSet, PairingTable, Rows, synth_table
 from cyclopair.report import Report, build_report
+from helpers import parsed
 
 FLAGS = HypothesisFlags.defaults_for(37)
 IRR_37 = IrregularSet(37, (32,))
-REPORT_37 = build_report(IRR_37, synth_table(37, IRR_37, seed=1), FLAGS, "sha256:-")
+REPORT_37 = build_report(IRR_37, parsed(IRR_37, synth_table(37, IRR_37, seed=1)),
+                         FLAGS, "sha256:-")
 
 RECORDS = [
     BernoulliRow(7, {2: 6, 4: 3}, "naive"),
@@ -21,7 +23,7 @@ RECORDS = [
     PackingInstance.from_sets(12, [2, 6], [1, 3, 5]),
     PackingResult(1, (1,), "exact"),
     PairingTable(37),
-    EligibleSet(37, (1, 3), ()),
+    EligibleSet(37, 0b11, 0),
     FLAGS,
     Verdict("HOLDS", {}, FLAGS),
     HeightBound(37, False, 1, 2, (5, 2), 3, (1,), False, FLAGS),
@@ -62,12 +64,15 @@ def test_flags_are_validated_on_every_construction():
 
 
 def test_default_pairing_entries_are_empty_and_read_only():
+    # the default rows are shared by every table built without them
     a, b = PairingTable(37), PairingTable(41)
-    for entries in (a.b_entries, a.e_entries, b.b_entries, b.e_entries):
-        assert not isinstance(entries, dict)
-        with pytest.raises(TypeError):
-            entries[(1, 32)] = 0
-        assert len(entries) == 0 and entries.get((1, 32)) is None
+    for rows in (a.b_entries, a.e_entries, b.b_entries, b.e_entries):
+        assert len(rows) == 0 and rows == Rows({}, {})
+        for masks in (rows.present, rows.zero):
+            with pytest.raises(TypeError):
+                masks[32] = 1
+        with pytest.raises(AttributeError):
+            rows.extra = 1
 
 
 def _plain(value) -> bool:
