@@ -23,12 +23,13 @@ from .bernoulli import (
     METHOD_NAIVE,
     METHOD_VORONOI,
     IrregularSet,
+    _check_row_prime,
     bernoulli_row,
     bernoulli_voronoi,
     irregular_indices,
     irregular_sweep,
 )
-from .modmath import MODULUS_LIMIT, require_odd_prime
+from .modmath import MODULUS_LIMIT
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 
@@ -39,11 +40,9 @@ CROSS_CHECK_BOUND = 200
 def _prime_arg(p: int) -> int:
     """The positional p: an odd prime with even indices in [2, p-3]."""
     try:
-        require_odd_prime(p)
-    except ValueError as exc:  # not prime, or beyond the primality test
+        _check_row_prime(p)
+    except ValueError as exc:  # not prime, p = 3, or beyond the primality test
         raise InputError(str(exc)) from None
-    if p == 3:
-        raise InputError("p = 3 has no even indices in [2, p-3]")
     if p > MODULUS_LIMIT:  # prime, but a row would hold about p / 2 entries
         raise InputError(f"p must be at most 2^31 = {MODULUS_LIMIT}, got {p}")
     return p
@@ -177,7 +176,7 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     The table is opened first, so a bad path fails before a long sweep, and
     read in one streamed pass once the primes are known.
     """
-    from .pairing import read_blocks
+    from .pairing import PairingTable, read_blocks
     from .report import digest_of, sha256
 
     sha = sha256()
@@ -186,7 +185,8 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
         tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})
     digest, flags_for = digest_of(sha), _flags_for(args)
     for irr in sets:
-        report = build_report(irr, tables.get(irr.p), flags_for(irr.p), digest)
+        table = tables.get(irr.p) or PairingTable(irr.p)  # no rows: an empty table
+        report = build_report(irr, table, flags_for(irr.p), digest)
         sys.stdout.write(report.to_json() + "\n" if fmt == "json" else report.to_tsv())
     return 0
 
@@ -200,16 +200,6 @@ def _cmd_report(args) -> int:
     return _write_reports(args, lambda: _sweep(args))
 
 
-def _add_flag_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--vandiver", default="auto",
-                        choices=["auto", "true", "assumed", "false-unknown"])
-    parser.add_argument("--procyclic", default="auto",
-                        choices=["auto", "true", "assumed", "false-unknown"])
-    parser.add_argument("--surjective", default="auto",
-                        choices=["yes", "no", "auto"],
-                        help="pairing surjectivity; auto resolves to yes below 1000")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclopair",
@@ -219,6 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the options each sweeping command shares, and those of a verdict report
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--max-p", type=int, required=True, dest="max_p")
+    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--cache", default=None,
+                       help=f"cache directory (default: ${CACHE_ENV_VAR})")
+    verdicts = argparse.ArgumentParser(add_help=False)
+    verdicts.add_argument("--pairing", required=True, help="pairing TSV file, - for stdin")
+    for flag in ("--vandiver", "--procyclic"):
+        verdicts.add_argument(flag, default="auto",
+                              choices=["auto", "true", "assumed", "false-unknown"])
+    verdicts.add_argument("--surjective", default="auto", choices=["yes", "no", "auto"],
+                          help="pairing surjectivity; auto resolves to yes below 1000")
+
     q = sub.add_parser("bern", help="Bernoulli numbers mod p")
     q.add_argument("p", type=int)
     q.add_argument("--k", type=int, default=None)
@@ -226,36 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[METHOD_NAIVE, METHOD_VORONOI, METHOD_FAST])
     q.set_defaults(fn=_cmd_bern)
 
-    q = sub.add_parser("irregular", help="sweep irregular primes below a bound")
-    q.add_argument("--max-p", type=int, required=True, dest="max_p")
-    q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--cache", default=None,
-                   help=f"cache directory (default: ${CACHE_ENV_VAR})")
+    q = sub.add_parser("irregular", parents=[sweep],
+                       help="sweep irregular primes below a bound")
     q.set_defaults(fn=_cmd_irregular)
 
-    q = sub.add_parser("congruence-sweep",
+    q = sub.add_parser("congruence-sweep", parents=[sweep],
                        help="report congruence-hypothesis violations")
-    q.add_argument("--max-p", type=int, required=True, dest="max_p")
-    q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--cache", default=None)
     q.add_argument("--source", default=None,
                    help="read irregular sets (p<TAB>k1,k2,... lines, as irregular "
                         "prints them) from a file instead of computing")
     q.set_defaults(fn=_cmd_congruence_sweep)
 
-    q = sub.add_parser("criteria", help="single-prime verdict report")
+    q = sub.add_parser("criteria", parents=[verdicts], help="single-prime verdict report")
     q.add_argument("p", type=int)
-    q.add_argument("--pairing", required=True, help="pairing TSV file, - for stdin")
     q.add_argument("--format", default="json", choices=["json", "tsv"])
-    _add_flag_options(q)
     q.set_defaults(fn=_cmd_criteria)
 
-    q = sub.add_parser("report", help="full per-prime report stream")
-    q.add_argument("--max-p", type=int, required=True, dest="max_p")
-    q.add_argument("--pairing", required=True, help="pairing TSV file, - for stdin")
-    q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--cache", default=None)
-    _add_flag_options(q)
+    q = sub.add_parser("report", parents=[sweep, verdicts],
+                       help="full per-prime report stream")
     q.set_defaults(fn=_cmd_report)
 
     return parser

@@ -170,11 +170,12 @@ def height_lower_bound(
     bound_exact = d + 1 with d the exact packing number over the eligible
     offsets; with incomplete data the eligible set is conservative (smaller
     than the truth), so the bound stays valid and is flagged partial.  The
-    counting bound s/(r^2 - r + 1) + 1 needs complete data for s.
+    counting bound s/(r^2 - r + 1) + 1 needs complete data for s.  Without
+    Vandiver there is no bound: the record is empty, its module not zero.
     """
     _require_same_prime(irr.p, elig.p)
     if not flags.vandiver_usable:
-        raise ValueError("height bound requires the Vandiver flag not false")
+        return HeightBound(irr.p, False, None, None, None, None, (), False, flags)
     if not irr.indices:
         return HeightBound(irr.p, True, None, None, None, None, (), False, flags)
     inst = PackingInstance.from_sets(irr.p - 1, irr.indices, offsets(elig.eligible))
@@ -199,7 +200,7 @@ def height_lower_bound(
 def gk_verdict(
     irr: IrregularSet,
     cc: CongruenceCheckResult,
-    table: PairingTable | None,
+    table: PairingTable,
     flags: HypothesisFlags,
 ) -> Verdict:
     """Abelianness of the unramified pro-p Galois group.
@@ -207,11 +208,10 @@ def gk_verdict(
     Ladder: rank <= 1 holds outright; failed congruence hypotheses are
     inconclusive; a zero entry fails unconditionally; all-nonzero data holds
     (via surjectivity when the nonzero-ness comes from b-entries only);
-    anything missing is conditional.
+    anything missing is conditional.  A prime without rows has the empty
+    ``PairingTable(p)``, on which every pair is missing.
     """
-    _require_same_prime(irr.p, cc.p)
-    if table is not None:
-        _require_same_prime(irr.p, table.p)
+    _require_same_prime(irr.p, cc.p, table.p)
     if not (flags.vandiver_usable and flags.procyclic_usable):
         return Verdict(
             INCONCLUSIVE,
@@ -234,8 +234,6 @@ def gk_verdict(
             flags,
         )
     pairs = list(combinations(irr.indices, 2))  # each k < k', in order
-    if table is None:
-        table = PairingTable(irr.p)
     zero, missing, b_only = [], [], []
     for k, kp in pairs:
         status = pair_status(irr, table, k, kp)

@@ -319,19 +319,17 @@ def pair_status(irr: IrregularSet, table: PairingTable, k: int, kp: int) -> str:
     return "missing"
 
 
-def eligible_set(irr: IrregularSet, table: PairingTable | None) -> EligibleSet:
+def eligible_set(irr: IrregularSet, table: PairingTable) -> EligibleSet:
     """Odd i with e(i,k) present and nonzero for every irregular k.
 
     Any i with an absent entry lands in ``missing``, never in the eligible
     set.  With R empty the conjunction is vacuous: every odd i qualifies.
     """
     p = irr.p
-    full = (1 << (p - 1) // 2) - 1  # the odd offsets in [1, p-2]
-    if not irr.indices:
-        return EligibleSet(p, full, 0)
-    if table is not None and table.p != p:
+    if table.p != p:
         raise ValueError(f"table is for {table.p}, expected {p}")
-    rows = table.e_entries if table is not None else Rows()
+    rows = table.e_entries
+    full = (1 << (p - 1) // 2) - 1  # the odd offsets in [1, p-2]
     known, eligible = full, full  # offsets with an entry, a nonzero one, for every k
     for k in irr.indices:
         mask = rows.present.get(k, 0)

@@ -45,11 +45,10 @@ def digest_of(sha) -> str:
 
 
 class Report(NamedTuple):
-    p: int
     irr: IrregularSet
     congruence: CongruenceCheckResult
     elig: EligibleSet
-    height: HeightBound | None
+    height: HeightBound
     greenberg: Verdict
     gk: Verdict
     flags: HypothesisFlags
@@ -58,7 +57,7 @@ class Report(NamedTuple):
     def to_obj(self) -> dict:
         h = self.height
         return {
-            "p": self.p,
+            "p": self.irr.p,
             "R": list(self.irr.indices),
             "r": self.irr.r,
             "congruence": {
@@ -75,13 +74,12 @@ class Report(NamedTuple):
                 "missing": self.elig.missing.bit_count(),
             },
             "height": {
-                "module_zero": h.zero_module if h else False,
-                "d": h.d if h else None,
-                "bound_exact": h.bound_exact if h else None,
-                "bound_corollary": _ratio(h.bound_corollary)
-                if h and h.bound_corollary is not None else None,
-                "corollary_ceiling": h.corollary_ceiling if h else None,
-                "partial": h.partial if h else False,
+                "module_zero": h.zero_module,
+                "d": h.d,
+                "bound_exact": h.bound_exact,
+                "bound_corollary": h.bound_corollary and _ratio(h.bound_corollary),
+                "corollary_ceiling": h.corollary_ceiling,
+                "partial": h.partial,
             },
             "greenberg": self.greenberg.status,
             "gk": self.gk.status,
@@ -125,21 +123,19 @@ def _flatten(prefix: str, value):
 
 def build_report(
     irr: IrregularSet,
-    table: PairingTable | None,
+    table: PairingTable,
     flags: HypothesisFlags,
     digest: str,
 ) -> Report:
+    """Every criterion at irr.p against its table, ``PairingTable(p)`` when
+    the file holds no rows for p."""
     cc = check_congruences(irr)
     elig = eligible_set(irr, table)
-    height = (
-        height_lower_bound(irr, elig, flags) if flags.vandiver_usable else None
-    )
     return Report(
-        p=irr.p,
         irr=irr,
         congruence=cc,
         elig=elig,
-        height=height,
+        height=height_lower_bound(irr, elig, flags),
         greenberg=greenberg_verdict(irr, elig, flags),
         gk=gk_verdict(irr, cc, table, flags),
         flags=flags,

@@ -55,11 +55,15 @@ _UNUSED_BY_SWEEPS = {"dataclasses", "inspect", "hashlib", "_hashlib", "decimal",
 
 def _modules_loaded(*args) -> set[str]:
     """The modules a run loads beyond those of a bare interpreter, from
-    -X importtime, with no cache directory in the environment."""
+    -X importtime, with no cache directory in the environment.  Both run
+    under -S, with src on PYTHONPATH: a .pth file that site runs may import
+    modules (tempfile, pathlib, shutil), which no test could then find
+    absent."""
     env = {name: value for name, value in os.environ.items() if name != cli.CACHE_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
 
     def loaded(*argv):
-        res = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
+        res = subprocess.run([sys.executable, "-S", "-X", "importtime", *map(str, argv)],
                              capture_output=True, env=env)
         assert res.returncode == 0, res.stderr.decode()
         return {line.rpartition("|")[2].strip()
@@ -176,6 +180,18 @@ def test_criteria_loads_neither_openssl_nor_fractions(tmp_path):
     # the table's digest: the built-in module (_sha2 from CPython 3.12 on);
     # -X importtime also lists a name whose import failed
     assert loaded & _BUILTIN_SHA256
+
+
+@pytest.mark.parametrize("argv", [["criteria", 37], ["report", "--max-p", 40]],
+                         ids=["criteria", "report"])
+def test_reports_without_a_cache_load_neither_tempfile_nor_pathlib(tmp_path, argv):
+    # the cache module writes through both; a run without a cache directory
+    # has no use for them
+    table = tmp_path / "table.tsv"
+    table.write_bytes(_synth_e_tables(40))
+    loaded = _modules_loaded(*argv, "--pairing", table)
+    assert "cyclopair.report" in loaded
+    assert loaded & {"tempfile", "pathlib"} == set()
 
 
 def test_bern_p7():
@@ -358,6 +374,30 @@ def test_criteria_tsv_format():
     lines = dict(line.split("\t") for line in res.stdout.decode().splitlines())
     assert lines["gk"] == "HOLDS"
     assert lines["p"] == "11"
+
+
+@pytest.mark.parametrize("p, pairing", [(1217, FIXTURES / "exceptional.tsv"),
+                                        (11, "/dev/null")])
+def test_criteria_without_vandiver_has_no_height_bound(p, pairing):
+    argv = ("criteria", p, "--pairing", pairing, "--vandiver", "false-unknown")
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    # no height bound at all, in the bytes the report has always printed
+    assert ('"height":{"module_zero":false,"d":null,"bound_exact":null,'
+            '"bound_corollary":null,"corollary_ceiling":null,"partial":false}'
+            in res.stdout.decode())
+    obj = json.loads(res.stdout)
+    assert obj["greenberg"] == obj["gk"] == "INCONCLUSIVE"
+    assert obj["flags"]["vandiver"] == "false-unknown"
+    tsv = run_cli(*argv, "--format", "tsv")
+    assert tsv.returncode == 0
+    lines = tsv.stdout.decode().splitlines()
+    start = lines.index("height.module_zero\tfalse")
+    assert lines[start:start + 6] == [
+        "height.module_zero\tfalse", "height.d\t-", "height.bound_exact\t-",
+        "height.bound_corollary\t-", "height.corollary_ceiling\t-",
+        "height.partial\tfalse"]
+    assert "greenberg\tINCONCLUSIVE" in lines and "gk\tINCONCLUSIVE" in lines
 
 
 def test_criteria_surjective_override():

@@ -71,7 +71,7 @@ def test_flags_validate():
 
 def test_greenberg_regular_trivial():
     irr = irregular_indices(11)
-    v = greenberg_verdict(irr, eligible_set(irr, None), flags_for(11))
+    v = greenberg_verdict(irr, eligible_set(irr, PairingTable(11)), flags_for(11))
     assert v.status == TRIVIAL
 
 
@@ -107,7 +107,7 @@ def test_greenberg_conditional_on_missing():
 
 def test_greenberg_requires_matching_prime():
     with pytest.raises(ValueError):
-        greenberg_verdict(IRR_157, eligible_set(IRR_37, None), flags_for(157))
+        greenberg_verdict(IRR_157, eligible_set(IRR_37, PairingTable(37)), flags_for(157))
 
 
 def test_greenberg_without_vandiver():
@@ -165,7 +165,7 @@ def test_height_bound_type_hints_resolve():
 
 def test_height_zero_module_sentinel():
     irr = irregular_indices(11)
-    hb = height_lower_bound(irr, eligible_set(irr, None), flags_for(11))
+    hb = height_lower_bound(irr, eligible_set(irr, PairingTable(11)), flags_for(11))
     assert hb.zero_module
     assert hb.d is None and hb.bound_exact is None and hb.bound_corollary is None
 
@@ -181,11 +181,11 @@ def test_height_partial_data_conservative():
 
 
 def test_height_requires_vandiver():
-    with pytest.raises(ValueError):
-        height_lower_bound(
-            IRR_37, eligible_set(IRR_37, None),
-            flags_for(37, vandiver=FLAG_FALSE_UNKNOWN),
-        )
+    # without Vandiver there is no bound, not even on a full table
+    flags = flags_for(37, vandiver=FLAG_FALSE_UNKNOWN)
+    for table in (PairingTable(37), parsed(IRR_37, synth_table(37, IRR_37, seed=1))):
+        hb = height_lower_bound(IRR_37, eligible_set(IRR_37, table), flags)
+        assert hb == HeightBound(37, False, None, None, None, None, (), False, flags)
 
 
 def test_height_exact_dominates_corollary_on_complete_data():
@@ -206,8 +206,8 @@ def gk_for(irr, table, **overrides):
 
 def test_gk_rank_le_1_holds():
     irr = irregular_indices(11)
-    assert gk_for(irr, None).status == HOLDS
-    assert gk_for(IRR_37, None).status == HOLDS  # r = 1, no table needed
+    assert gk_for(irr, PairingTable(11)).status == HOLDS
+    assert gk_for(IRR_37, PairingTable(37)).status == HOLDS  # r = 1, no rows needed
 
 
 def test_gk_zero_pair_fails_unconditionally():
@@ -251,8 +251,8 @@ def test_gk_missing_pairs_conditional():
     v = gk_for(IRR_157, PairingTable(157))
     assert v.status == CONDITIONAL
     assert v.detail["missing_pairs"] == [(62, 110)]
-    # no table at all: every pair is missing
-    v = gk_for(irregular_indices(1217), None)
+    # no rows at all: every pair is missing
+    v = gk_for(irregular_indices(1217), PairingTable(1217))
     assert v.status == CONDITIONAL
     assert v.detail["missing_pairs"] == [(784, 866), (784, 1118), (866, 1118)]
 

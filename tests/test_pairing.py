@@ -150,7 +150,7 @@ def test_b_to_e_rejects_non_irregular():
 
 
 def test_eligible_empty_r_is_all_odds():
-    elig = eligible_set(IrregularSet(11, ()), None)
+    elig = eligible_set(IrregularSet(11, ()), PairingTable(11))
     assert elig == EligibleSet(11, 0b11111, 0)
     assert offsets(elig.eligible) == (1, 3, 5, 7, 9)
     assert elig.s == 5
@@ -227,7 +227,7 @@ def _eligible_set_per_offset(irr, values):
 
 
 def assert_matches_reference(irr, values):
-    table = parsed(irr, values) if values is not None else None
+    table = parsed(irr, values) if values is not None else PairingTable(irr.p)
     got = eligible_set(irr, table)
     assert got.p == irr.p
     assert (offsets(got.eligible), offsets(got.missing)) == _eligible_set_per_offset(irr, values)

@@ -89,7 +89,7 @@ def test_report_output_holds_no_record():
     # flattener would print its repr, so to_obj must convert every field
     violation = IrregularSet(13, (4, 10))  # 4 + 10 == 2 mod 12
     flags = HypothesisFlags.defaults_for(13)
-    for report in (REPORT_37, build_report(violation, None, flags, "sha256:-")):
+    for report in (REPORT_37, build_report(violation, PairingTable(13), flags, "sha256:-")):
         assert _plain(report.to_obj())
     obj = REPORT_37.to_obj()
     assert obj["R"] == [32] and obj["height"]["bound_corollary"] == "19"
