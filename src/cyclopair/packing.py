@@ -11,21 +11,27 @@ greedy solution seeds the incumbent.  The search is one loop over an
 explicit stack, with no recursion; a join frame adds a solved component's
 optimum to the rest of its mask.
 
-Orbit rule.  A conflict depends only on i - i', so a translation t with
-I + t = I maps packings to packings of the same size.  Let g be the period
-of I, the least divisor of m with I + g = I, and v_1 < ... < v_k the
-offsets of I in [0, g), so that the orbits v_j + gZ partition I.  When
-g < m the root branches once per orbit:
+Vertices.  With i0 the least candidate, t = gcd(m, D, I - i0) and n = m/t,
+candidate i0 + t*j is bit j of one mask over Z/n, in the candidates' order.
+Vertices j and j' conflict exactly when j - j' lies in D/t mod n, so the
+neighbours of j are the pattern (D - {0})/t rotated by j, ANDed with the
+mask.  A full table has i0 = 1 and t = 2: bit j is offset 2j + 1.
+
+Orbit rule.  A conflict depends only on j - j', so a rotation by g that
+fixes the mask maps packings to packings of the same size.  Let g be the
+period of the mask, the least divisor of n with rot(mask, g) = mask, and
+v_1 < ... < v_k its bits below g, so that the orbits v_j + gZ partition
+it.  When g < n the root branches once per orbit:
 
     alpha(I) = max_j (1 + alpha(I - O_1 - ... - O_{j-1} - N[v_j])),
 
 with O_j the orbit of v_j and N[v] the closed neighbourhood.  Proof: each
 branch is a packing, so the right side is at most alpha(I).  Conversely,
 let S be a maximum packing and j the least index with S meeting O_j, say at
-v_j + tg.  Then S - tg lies in I, is a packing of the same size, contains
+v_j + sg.  Then S - sg lies in I, is a packing of the same size, contains
 v_j and misses O_1, ..., O_{j-1}; without v_j it is a packing of the j-th
-subproblem.  A full table has every odd offset, so g = 2, one orbit, and
-alpha = 1 + alpha(I - N[1]).  Without a period below m the search is the
+subproblem.  A full table has every bit, so g = 1, one orbit, and
+alpha = 1 + alpha(I - N[0]).  Without a period below n the search is the
 plain branch and bound.
 
 Dirty reductions.  Between branchings every vertex left has degree >= 2,
@@ -86,6 +92,7 @@ valid bound prunes it; the search tree only loses subtrees.
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
 """
+from math import gcd
 from typing import Iterable, NamedTuple
 
 BRUTE_FORCE_LIMIT = 20
@@ -93,8 +100,8 @@ BRUTE_FORCE_LIMIT = 20
 
 class PackingInstance(NamedTuple):
     modulus: int
-    shape: tuple[int, ...]       # the translate shape R, reduced mod m
-    candidates: tuple[int, ...]  # the offsets I, reduced mod m
+    shape: tuple[int, ...]       # the translate shape R, reduced mod m, sorted
+    candidates: tuple[int, ...]  # the offsets I, reduced mod m, sorted
 
     @classmethod
     def from_sets(
@@ -136,29 +143,36 @@ def _finish(
     inst: PackingInstance, offsets: Iterable[int], method: str, nodes: int = 0
 ) -> PackingResult:
     witness = tuple(sorted(offsets))
-    if not set(witness) <= set(inst.candidates):
+    rest = iter(inst.candidates)  # both sorted: a subsequence is a subset
+    if not all(i in rest for i in witness):
         raise RuntimeError(f"{method} solver chose offsets outside the candidates")
     if not translates_disjoint(inst, witness):
         raise RuntimeError(f"{method} solver produced overlapping translates")
     return PackingResult(len(witness), witness, method, nodes)
 
 
-def _adjacency(inst: PackingInstance) -> tuple[list[int], list[int]]:
-    """Candidates and their neighbour masks, indexed by bit length: the
-    neighbours of vertex i (bit 1 << i) are ``adj[i + 1]``; ``adj[0]`` is 0."""
-    verts = list(inst.candidates)
-    pos = {v: i for i, v in enumerate(verts)}
-    diffs = conflict_diffs(inst.shape, inst.modulus)
-    adj = [0] * (len(verts) + 1)
-    for i, v in enumerate(verts):
-        for d in diffs:
-            if d == 0:
-                continue
-            j = pos.get((v + d) % inst.modulus)
-            if j is not None and j != i:
-                adj[i + 1] |= 1 << j
-                adj[j + 1] |= 1 << i
-    return verts, adj
+def _circulant(inst: PackingInstance) -> tuple[int, int, int, list[int], list[int]]:
+    """(i0, t, mask, adj, orbits) for nonempty candidates (module docstring):
+    candidate i0 + t*j is bit j of ``mask``, vertex j's neighbours are
+    ``adj[j + 1]`` (``adj[0]`` is 0), and ``orbits`` are the masks of the
+    orbits j + gZ for the period g of the mask, by least bit, or empty."""
+    m, cands = inst.modulus, inst.candidates
+    diffs = conflict_diffs(inst.shape, m)
+    i0 = cands[0]
+    t = gcd(m, *diffs, *(i - i0 for i in cands))
+    n = m // t
+    pattern = sum(1 << d // t for d in diffs if d)
+    mask = sum(1 << (i - i0) // t for i in cands)
+    adj = [0] * (n + 1)
+    for i in cands:
+        j = (i - i0) // t
+        adj[j + 1] = (pattern << j | pattern >> n - j) & mask  # rotated by j
+    full = (1 << n) - 1
+    # the least divisor g of n with rot(mask, g) == mask; g = n always is
+    g = next(g for g in range(1, n + 1)
+             if n % g == 0 and (mask << g | mask >> n - g) & full == mask)
+    rep = full // ((1 << g) - 1)  # bits 0, g, 2g, ...; no orbit rule when g = n
+    return i0, t, mask, adj, [rep << j for j in range(g) if g < n and mask >> j & 1]
 
 
 def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
@@ -384,20 +398,6 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     return *bests[0], nodes
 
 
-def _orbit_masks(inst: PackingInstance) -> list[int]:
-    """Vertex masks of the orbits i + gZ, by least offset, for the period g
-    of I (the least divisor of m with I + g = I); empty when g = m."""
-    m, cands = inst.modulus, inst.candidates
-    members = set(cands)
-    # O(|I|) per divisor; g = m always qualifies
-    g = next(g for g in range(1, m + 1)
-             if m % g == 0 and all((i + g) % m in members for i in cands))
-    if g == m:
-        return []
-    pos = {v: k for k, v in enumerate(cands)}
-    return [sum(1 << pos[w] for w in range(v, m, g)) for v in cands if v < g]
-
-
 def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     """Maximum number of pairwise disjoint translates, with witness.
 
@@ -405,11 +405,11 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     witness is the fixed search order's first optimum, reported sorted;
     ``nodes`` counts the search nodes.
     """
-    verts, adj = _adjacency(inst)
-    if not verts:
+    if not inst.candidates:
         return PackingResult(0, (), "exact")
-    _, chosen, nodes = _solve_mask(adj, (1 << len(verts)) - 1, _orbit_masks(inst))
-    offsets = [verts[i] for i in range(len(verts)) if chosen >> i & 1]
+    i0, t, mask, adj, orbits = _circulant(inst)
+    _, chosen, nodes = _solve_mask(adj, mask, orbits)
+    offsets = [i0 + t * j for j in range(len(adj) - 1) if chosen >> j & 1]
     return _finish(inst, offsets, "exact", nodes)
 
 

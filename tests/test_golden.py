@@ -2,7 +2,10 @@
 
 Each case runs the CLI in a fresh process without a cache and compares its
 stdout with ``tests/golden/<name>.out.gz``.  A refactor that changes any
-byte fails here.  To record the outputs of the current code (only when an
+byte fails here.  The cases run again under one CPython >= 3.10 of each
+other minor version found (the pyenv versions, then ``python3.X`` on PATH),
+since the package may use what a given interpreter lacks or has renamed;
+the test skips when there is none.  To record the outputs of the current code (only when an
 output change is intended and explained), run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,6 +13,7 @@ output change is intended and explained), run
 
 import gzip
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,19 +37,55 @@ CASES = {
 }
 
 
-def run_case(args: tuple[str, ...]) -> bytes:
+def run_case(args: tuple[str, ...], python: str = sys.executable) -> bytes:
     env = {key: val for key, val in os.environ.items() if key != "CYCLOPAIR_CACHE_DIR"}
+    env["PYTHONPATH"] = str(REPO / "src")
     res = subprocess.run(
-        [sys.executable, "-m", "cyclopair", *args],
+        [python, "-m", "cyclopair", *args],
         cwd=REPO, capture_output=True, env=env, check=True,
     )
     return res.stdout
 
 
+def golden(name: str) -> bytes:
+    return gzip.decompress((GOLDEN / f"{name}.out.gz").read_bytes())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_stdout(name):
-    expected = gzip.decompress((GOLDEN / f"{name}.out.gz").read_bytes())
-    assert run_case(CASES[name]) == expected
+    assert run_case(CASES[name]) == golden(name)
+
+
+def other_interpreters() -> list[str]:
+    """One CPython >= 3.10 per minor version other than the running one,
+    each checked to start: a pyenv shim may name a version not installed."""
+    seen = {sys.version_info[:2]}
+    paths = sorted(map(str, Path.home().glob(".pyenv/versions/*/bin/python3")))
+    paths += filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 20)))
+    found = []
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:2])"
+    for path in paths:
+        try:
+            res = subprocess.run([path, "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = res.stdout.split()
+        if res.returncode or fields[:1] != ["CPython"]:
+            continue
+        version = tuple(map(int, fields[1:]))
+        if version >= (3, 10) and version not in seen:
+            seen.add(version)
+            found.append(path)
+    return found
+
+
+def test_golden_stdout_other_interpreters():
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 found")
+    for python in pythons:
+        for name, args in sorted(CASES.items()):
+            assert run_case(args, python) == golden(name), (python, name)
 
 
 if __name__ == "__main__":

@@ -2,20 +2,20 @@ import hashlib
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclopair.bernoulli import irregular_indices
+from cyclopair.bernoulli import IrregularSet, irregular_indices
 from cyclopair import criteria
 from cyclopair.criteria import HypothesisFlags, height_lower_bound
 from cyclopair.packing import (
     PackingInstance,
     PackingResult,
-    _adjacency,
+    _circulant,
     _cover_bound,
     _finish,
-    _orbit_masks,
     _still_connected,
     brute_force_packing,
     conflict_diffs,
@@ -26,6 +26,7 @@ from cyclopair.pairing import eligible_set, synth_table
 from helpers import parsed
 
 ODDS_12 = (1, 3, 5, 7, 9, 11)
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "irregular-25000.tsv"
 
 
 def inst(m, R, I):
@@ -185,7 +186,7 @@ def test_exact_matches_brute_periodic_random():
         k = rng.randint(1, max(1, min(g, 16 // (m // g))))
         pi = periodic_instance(m, g, rng.sample(range(g), k),
                                rng.sample(range(m), rng.randint(1, 4)))
-        orbit_counts.add(len(_orbit_masks(pi)))
+        orbit_counts.add(len(_circulant(pi)[4]))
         exact = max_disjoint_translates_exact(pi)
         assert exact.count == brute_force_packing(pi).count, pi
         assert translates_disjoint(pi, exact.witness)
@@ -194,12 +195,66 @@ def test_exact_matches_brute_periodic_random():
 
 def test_orbit_masks_partition_the_candidates():
     pi = periodic_instance(24, 6, [1, 2, 4], [0, 5])
-    orbits = _orbit_masks(pi)
+    _, _, mask, _, orbits = _circulant(pi)
     assert len(orbits) == 3  # the period is 6: offsets 1, 2, 4 and their shifts
-    assert sum(orbits) == (1 << len(pi.candidates)) - 1
+    assert sum(orbits) == mask
+    assert sum(o.bit_count() for o in orbits) == mask.bit_count()
     assert [o & -o for o in orbits] == sorted(o & -o for o in orbits)
     # no period below m: the search runs without the root rule
-    assert _orbit_masks(inst(24, [0, 5], [1, 2, 4, 7])) == []
+    assert _circulant(inst(24, [0, 5], [1, 2, 4, 7]))[4] == []
+
+
+def period(pi):
+    # reference: the least divisor g of m with I + g = I
+    members = set(pi.candidates)
+    return next(g for g in range(1, pi.modulus + 1) if pi.modulus % g == 0
+                and all((i + g) % pi.modulus in members for i in members))
+
+
+def circulant_instances(rng):
+    # t > 1 (shape and candidates on a coset of sZ), periodic, plain random,
+    # m = 1 and single candidates
+    yield inst(1, [0], [0])
+    yield inst(12, [2, 6], [5])
+    yield inst(60, [7], [13])
+    for n in range(300):
+        m = rng.randint(2, 60)
+        s = rng.choice([s for s in range(1, m + 1) if m % s == 0])
+        shape = [s * x for x in rng.sample(range(m // s), rng.randint(1, min(4, m // s)))]
+        base = rng.randrange(m)
+        cands = [base + s * x for x in rng.sample(range(m // s), rng.randint(1, m // s))]
+        if n % 3 == 1:
+            g = rng.choice([g for g in range(1, m + 1) if m % g == 0])
+            cands = [c + k * g for c in cands for k in range(m // g)]
+        elif n % 3 == 2:
+            shape = rng.sample(range(m), rng.randint(1, min(4, m)))
+        yield inst(m, shape, cands)
+
+
+def test_circulant_matches_translate_intersection():
+    # bit j is offset i0 + t*j, in the order of the candidates; vertices j
+    # and k are adjacent exactly when their translates meet; the orbits are
+    # those of the period of I
+    rng = random.Random(2718)
+    steps, orbit_counts = set(), set()
+    for pi in circulant_instances(rng):
+        i0, t, mask, adj, orbits = _circulant(pi)
+        n = len(adj) - 1
+        assert n * t == pi.modulus
+        verts = [j for j in range(n) if mask >> j & 1]
+        assert [i0 + t * j for j in verts] == list(pi.candidates)
+        assert adj[0] == 0
+        translate = {j: {(i0 + t * j + x) % pi.modulus for x in pi.shape} for j in verts}
+        for j in range(n):
+            want = sum(1 << k for k in verts
+                       if j in translate and k != j and translate[j] & translate[k])
+            assert adj[j + 1] == want, (pi, j)
+        g = period(pi)
+        assert len(orbits) == (0 if g == pi.modulus else sum(i < g for i in pi.candidates))
+        assert sum(orbits) in (0, mask)
+        steps.add(t)
+        orbit_counts.add(len(orbits))
+    assert max(steps) > 1 and 1 in steps and max(orbit_counts) >= 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,6 +306,20 @@ def test_search_tree_digest():
         "9ea5f4f0d9dcc4dc30e11f0fbad38100836544009790740b973d448a7adb8c7c")
     # the search tree is deterministic; a change to its size should be deliberate
     assert sum(res.nodes for res in results) == 22_269
+
+
+def rank_adjacency(pi):
+    # reference conflict graph with vertex v the v-th candidate: v ~ w when
+    # their offsets differ by a nonzero element of D
+    pos = {i: v for v, i in enumerate(pi.candidates)}
+    diffs = conflict_diffs(pi.shape, pi.modulus) - {0}
+    adj = [0] * (len(pos) + 1)
+    for v, i in enumerate(pi.candidates):
+        for d in diffs:
+            w = pos.get((i + d) % pi.modulus)
+            if w is not None:
+                adj[v + 1] |= 1 << w
+    return adj
 
 
 def greedy_cover_size(adj, mask):
@@ -324,7 +393,7 @@ def doubled(pi, a, b):
     # in the first copy joined with b in the second
     twice = inst(2 * pi.modulus, [2 * x for x in pi.shape],
                  [2 * i + c for i in pi.candidates for c in (0, 1)])
-    _, adj = _adjacency(twice)
+    adj = rank_adjacency(twice)
     spread = [sum(1 << 2 * v + c for v in range(len(pi.candidates)) if mask >> v & 1)
               for mask, c in ((a, 0), (b, 1))]
     return twice, adj, spread[0] | spread[1]
@@ -337,7 +406,7 @@ def test_cover_bound_never_exceeds_alpha_random():
         m = rng.randint(6, 60)
         pi = inst(m, rng.sample(range(m), rng.randint(2, 4)),
                   rng.sample(range(m), rng.randint(1, min(m, 40))))
-        _, adj = _adjacency(pi)
+        adj = rank_adjacency(pi)
         sets.append(check_cover_bound(pi, adj, random_mask(
             rng, len(pi.candidates), rng.randint(1, 20))))
     assert sum(k >= 1 for k in sets) >= 30
@@ -348,7 +417,7 @@ def test_cover_bound_never_exceeds_alpha_random():
         m = rng.randint(6, 60)
         pi = inst(m, rng.sample(range(m), rng.randint(2, 4)),
                   rng.sample(range(m), rng.randint(6, min(m, 40))))
-        _, adj = _adjacency(pi)
+        adj = rank_adjacency(pi)
         n = len(pi.candidates)
         a, b = (deficient(pi, adj, lambda: random_mask(rng, n, rng.randint(4, 8)))
                 for _ in range(2))
@@ -359,7 +428,7 @@ def test_cover_bound_never_exceeds_alpha_random():
 
 def test_cover_bound_never_exceeds_alpha_491():
     pi = inst(490, [292, 336, 338], range(1, 490, 2))
-    _, adj = _adjacency(pi)
+    adj = rank_adjacency(pi)
     rng = random.Random(491)
     sets = [check_cover_bound(pi, adj, patch_491(rng, adj, 20)) for _ in range(100)]
     assert sum(k >= 1 for k in sets) >= 25
@@ -376,7 +445,7 @@ def test_cover_bound_five_cycle():
     # The greedy cover {0, 1}, {2, 3}, {4} has 3 cliques and alpha = 2: the
     # singleton 4 excludes 0 and 3, which forces 1, which empties {2, 3}
     pi = inst(5, [0, 1], range(5))
-    _, adj = _adjacency(pi)
+    adj = rank_adjacency(pi)
     full = (1 << 5) - 1
     assert greedy_cover_size(adj, full) == 3
     assert [_cover_bound(full, adj, limit) for limit in range(-1, 4)] == [
@@ -392,7 +461,7 @@ def test_cover_bound_two_five_cycles():
     # through {9} and {1, 3}.  No clique is left for a third, so limit 3
     # is not proved
     pi = inst(10, [0, 2], range(10))
-    _, adj = _adjacency(pi)
+    adj = rank_adjacency(pi)
     full = (1 << 10) - 1
     assert greedy_cover_size(adj, full) == 6
     assert brute_force_packing(pi).count == 4
@@ -448,7 +517,7 @@ def test_still_connected_matches_full_search():
     # on the p = 491 conflict graph, without the closed neighbourhoods of
     # a few vertices, as branching removes them
     pi = inst(490, [292, 336, 338], range(1, 490, 2))
-    _, adj = _adjacency(pi)
+    adj = rank_adjacency(pi)
     full = (1 << len(pi.candidates)) - 1
     assert connected(adj, full)
     outcomes = []
@@ -547,19 +616,33 @@ def test_full_table_491_needs_no_recursion(monkeypatch):
     assert (res.count, res.nodes) == (76, 1_368)
 
 
-@pytest.mark.parametrize("p", [157, 353, 379, 467])
-def test_full_table_r2_cycle_formula(p):
-    # R = {k, k'}: the only conflicts are i ~ i +- (k' - k), so the graph on
-    # the odd offsets is a union of cycles and d is the sum of floor(len/2)
-    irr, bound = synth_table_bound(p)
-    assert irr.r == 2
-    m, step = p - 1, irr.indices[1] - irr.indices[0]
-    unseen, expected = set(range(1, m, 2)), 0
-    while unseen:
-        i, length = unseen.pop(), 1
-        j = (i + step) % m
-        while j != i:
-            unseen.remove(j)
-            j, length = (j + step) % m, length + 1
-        expected += length // 2
-    assert bound.d == expected
+def small_r2_sets():
+    # every prime below 5,000 with one or two irregular indices
+    for line in REFERENCE.read_text().splitlines():
+        p, _, ks = line.partition("\t")
+        if int(p) < 5000 and ks != "-" and ks.count(",") <= 1:
+            yield IrregularSet(int(p), tuple(map(int, ks.split(","))))
+
+
+@pytest.mark.parametrize("irr", small_r2_sets(), ids=lambda irr: str(irr.p))
+def test_full_table_r2_cycle_formula(irr):
+    # r = 1: no conflicts, d = n = (p - 1)/2.  r = 2: on the odd offsets the
+    # only conflicts are j ~ j +- a with a = (k' - k)/2 over Z/n, so the
+    # graph is g = gcd(n, a) cycles of length n/g and d = g * floor(n/2g)
+    pi = inst(irr.p - 1, irr.indices, range(1, irr.p - 1, 2))
+    res = max_disjoint_translates_exact(pi)
+    n = (irr.p - 1) // 2
+    if irr.r == 1:
+        assert res.count == n
+    else:
+        g = math.gcd(n, (irr.indices[1] - irr.indices[0]) // 2)
+        assert res.count == g * (n // (2 * g))
+    assert translates_disjoint(pi, res.witness)
+
+
+def test_r2_answer_key_covers_the_cycle_cases():
+    sets = list(small_r2_sets())
+    assert len(sets) == 249
+    assert sum(irr.r == 2 and math.gcd((irr.p - 1) // 2,
+                                       (irr.indices[1] - irr.indices[0]) // 2) > 1
+               for irr in sets) == 22
