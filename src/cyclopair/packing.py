@@ -3,7 +3,7 @@
 Two translates i + R and i' + R intersect exactly when i - i' lands in the
 difference set D = R - R, so the packing problem is a maximum independent
 set on the conflict graph over the candidate offsets.  The exact solver is
-a branch and bound over bitmasks: degree-0/1 vertices are taken outright,
+a branch and bound over bitmasks: simplicial vertices are taken outright,
 connected components are solved separately, branching picks the first
 vertex of maximum degree, and subtrees die against a greedy clique-cover
 bound sharpened by disjoint inconsistent clique sets.  The ascending
@@ -34,12 +34,14 @@ subproblem.  A full table has every bit, so g = 1, one orbit, and
 alpha = 1 + alpha(I - N[0]).  Without a period below n the search is the
 plain branch and bound.
 
-Dirty reductions.  Between branchings every vertex left has degree >= 2,
-so the degree-0/1 rule re-checks only vertices whose degree changed: after
-an include the second neighbourhood of the chosen vertex, after an exclude
-its neighbours, after taking a degree-1 vertex the neighbours of its
-partner, and nothing after a component split.  The re-checks run in the
-same order as full rescans would, so the search tree is unchanged.
+Dirty reductions.  A vertex b whose neighbours left in the mask form a
+clique is taken and N[b] removed: a maximum packing S meets that clique at
+most once, at w say, and S - w + b, or S + b if it misses it, is a packing
+no smaller (Akiba and Iwata, TCS 2016).  A vertex only becomes simplicial
+as its neighbourhood shrinks, so the rule re-checks only those: after an
+include the second neighbourhood of the chosen vertex, after an exclude
+its neighbours, after taking b the neighbours of N(b), and none after a
+split, in the order full rescans would take.
 
 Connectivity re-check.  Before branching, the component of the lowest
 vertex is peeled off when the mask M is not connected.  Below a branching,
@@ -84,10 +86,10 @@ that clique, a contradiction.  The set is marked dead and the next round
 starts again from the live singletons; a round without a conflict leaves
 the bound unproved.  The cover is built only up to L + _CAP cliques.  With
 k = 1 this is plain unit propagation: a packing of L + 1 vertices must
-meet every clique.  A stronger bound cannot change the count, nor the
-witness: that is the first leaf of the fixed search order reaching d, and
-while best < d every ancestor of it has alpha >= d - c > best - c, so no
-valid bound prunes it; the search tree only loses subtrees.
+meet every clique.  A stronger bound cannot move the witness, the first
+leaf of the fixed search order reaching d: while best < d every ancestor
+of it has alpha >= d - c > best - c, so no valid bound prunes it.  A new
+reduction can, as it reshapes the tree; neither moves the count.
 
 Every solver re-verifies its witness by direct translate-intersection
 checks before returning, independent of the conflict-graph reduction.
@@ -190,11 +192,11 @@ def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
 # takes at most this many disjoint sets.  The p = 491 solve, full table /
 # zero entry at (1, 292), best of 9 interleaved runs on a 2-vCPU x86-64 host
 # with CPython 3.11 (1 is plain unit propagation):
-#   cap 1: 3,452 / 12,381 nodes, 304 / 1,053 ms
-#   cap 2: 1,646 /  4,721 nodes, 140 /   461 ms
-#   cap 3: 1,368 /  3,659 nodes, 117 /   375 ms
-#   cap 4: 1,342 /  3,549 nodes, 128 /   391 ms
-#   cap 8: 1,342 /  3,549 nodes, 123 /   414 ms
+#   cap 1: 2,817 / 11,615 nodes, 189 / 798 ms
+#   cap 2: 1,143 /  4,231 nodes,  86 / 328 ms
+#   cap 3:   863 /  3,179 nodes,  72 / 283 ms
+#   cap 4:   835 /  3,069 nodes,  74 / 292 ms
+#   cap 8:   835 /  3,069 nodes,  77 / 312 ms
 _CAP = 3
 
 
@@ -327,8 +329,8 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     stack = stack[::-1] or [(mask, mask, 0, 0, 0)]
     nodes = 0
     while stack:
-        # invariant of a frame: every vertex of mask outside dirty has degree
-        # >= 2, and conn is a connected set containing mask, or 0 if unknown
+        # invariant of a frame: no vertex of mask outside dirty is simplicial,
+        # and conn is a connected set containing mask, or 0 if unknown
         mask, dirty, conn, cur_n, cur_mask = stack.pop()
         if dirty is None:
             comp_n, comp_mask = bests.pop()
@@ -338,8 +340,8 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
         else:
             nodes += 1
         while True:
-            # take isolated and degree-1 vertices; always part of some optimum.
-            # Passes in index order over the vertices whose degree changed;
+            # take simplicial vertices; always part of some optimum.  Passes
+            # in index order over the vertices whose neighbourhood shrank;
             # one touched above the scan position is seen in the same pass.
             while dirty:
                 rem = dirty & mask
@@ -348,15 +350,17 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
                     b = rem & -rem
                     rem ^= b
                     nb = adj[b.bit_length()] & mask
-                    if nb == 0:
-                        cur_n += 1
-                        cur_mask |= b
-                        mask ^= b
-                    elif nb & (nb - 1) == 0:
+                    w = nb
+                    while w:  # is nb a clique?
+                        wb = w & -w
+                        if nb & ~adj[wb.bit_length()] != wb:
+                            break
+                        w ^= wb
+                    else:
                         cur_n += 1
                         cur_mask |= b
                         mask &= ~(b | nb)
-                        touched = adj[nb.bit_length()] & mask
+                        touched = _neighbours(adj, nb) & mask
                         dirty |= touched
                         rem = (rem | touched & -(b << 1)) & mask
             best_n = bests[-1][0]
@@ -371,7 +375,7 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
             else:  # the connected component of the lowest vertex
                 comp = _reach(adj, mask, mask & -mask, mask)
             if comp != mask:
-                # degrees inside and outside the component are unchanged
+                # neighbourhoods inside and outside the component are unchanged
                 stack.append((mask ^ comp, None, 0, cur_n, cur_mask))
                 stack.append((comp, 0, comp, 0, 0))
                 bests.append(_greedy_mask(comp, adj))
@@ -405,6 +409,7 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     witness is the fixed search order's first optimum, reported sorted;
     ``nodes`` counts the search nodes.
     """
+    inst = PackingInstance.from_sets(*inst)
     if not inst.candidates:
         return PackingResult(0, (), "exact")
     i0, t, mask, adj, orbits = _circulant(inst)
@@ -420,6 +425,7 @@ def brute_force_packing(inst: PackingInstance) -> PackingResult:
     difference-set reduction, so this is a genuinely independent oracle.
     The witness is the lexicographically least maximum subset.
     """
+    inst = PackingInstance.from_sets(*inst)
     verts = list(inst.candidates)
     n = len(verts)
     if n > BRUTE_FORCE_LIMIT:

@@ -92,6 +92,14 @@ def test_instance_normalizes():
     assert a.candidates == (1, 3)
 
 
+@pytest.mark.parametrize("solve", [max_disjoint_translates_exact, brute_force_packing])
+@pytest.mark.parametrize("cands", [(5, 1), (1, 13), (7, 3, 1)])
+def test_solvers_normalize_direct_instances(solve, cands):
+    # unsorted, unreduced or repeated candidates in an instance built directly
+    direct = PackingInstance(12, (2, 6), cands)
+    assert solve(direct) == solve(inst(*direct))
+
+
 def random_instance(rng):
     m = rng.randint(4, 60)
     r_size = rng.randint(1, min(4, m))
@@ -297,15 +305,68 @@ def tree_instances():
         yield inst(m, shape, cands)
 
 
-def test_search_tree_digest():
-    # (count, witness) of every instance, recorded before unit propagation
-    # joined the bound: a stronger valid bound leaves both unchanged
-    results = list(map(max_disjoint_translates_exact, tree_instances()))
-    rows = [(res.count, res.witness) for res in results]
+@pytest.fixture(scope="module")
+def tree_results():
+    return list(map(max_disjoint_translates_exact, tree_instances()))
+
+
+def test_search_tree_counts(tree_results):
+    # the answers alone, recorded before the simplicial rule: no valid
+    # bound or reduction may change a count
+    counts = [res.count for res in tree_results]
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+        "94a8dc8046edc8ccd91a08dcf2ae5aee96cf172615cbd96cecfd12689df3f339")
+
+
+def test_search_tree_digest(tree_results):
+    # (count, witness) of every instance, recorded with the simplicial rule:
+    # a stronger valid bound leaves both unchanged, a reduction may move a
+    # witness (the simplicial rule moved 23 of the 300)
+    rows = [(res.count, res.witness) for res in tree_results]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "9ea5f4f0d9dcc4dc30e11f0fbad38100836544009790740b973d448a7adb8c7c")
+        "bc222038a089ebea82d3cf5878b0c09e7b307456595cfbdc576f364b66122f9d")
     # the search tree is deterministic; a change to its size should be deliberate
-    assert sum(res.nodes for res in results) == 22_269
+    assert sum(res.nodes for res in tree_results) == 14_728
+
+
+def has_simplicial_of_degree_2(adj, mask):
+    # reference: whether a vertex of mask has at least two neighbours in
+    # mask, all pairwise adjacent
+    verts = [v for v in range(len(adj) - 1) if mask >> v & 1]
+    for v in verts:
+        nb = [w for w in verts if adj[v + 1] >> w & 1]
+        if len(nb) >= 2 and all(adj[a + 1] >> b & 1 for a in nb for b in nb if a != b):
+            return True
+    return False
+
+
+def test_simplicial_rule_matches_brute():
+    # r = 3 and 4 shapes on odd offsets with gaps, at most 15 vertices; the
+    # rule goes beyond degrees 0 and 1 where a simplicial vertex has degree
+    # >= 2
+    rng = random.Random(1993)
+    exercised = 0
+    for n in range(500):
+        m = 2 * rng.randint(6, 16)
+        odd = range(1, m, 2)
+        gaps = rng.sample(odd, rng.randint(1, len(odd) // 2))
+        pi = inst(m, rng.sample(range(m), 3 + n % 2), set(odd) - set(gaps))
+        exercised += has_simplicial_of_degree_2(
+            rank_adjacency(pi), (1 << len(pi.candidates)) - 1)
+        exact = max_disjoint_translates_exact(pi)
+        assert exact.count == brute_force_packing(pi).count, pi
+        assert len(exact.witness) == exact.count
+        assert translates_disjoint(pi, exact.witness)
+    assert exercised >= 100
+
+
+def test_simplicial_rule_shrinks_a_tree():
+    # tree instance 93, a full table on Z/17: after the root takes offset 0
+    # the simplicial rule finishes it, where degrees 0 and 1 took 7 nodes
+    pi = inst(17, [4, 6, 16], range(17))
+    res = max_disjoint_translates_exact(pi)
+    assert (res.count, res.nodes) == (4, 1)
+    assert translates_disjoint(pi, res.witness)
 
 
 def rank_adjacency(pi):
@@ -532,6 +593,13 @@ def test_still_connected_matches_full_search():
     assert outcomes.count(False) >= 30 and outcomes.count(True) >= 30
 
 
+# search nodes of the p = 491 solves, recorded with the simplicial rule; the
+# search tree is deterministic, so a change to its size should be deliberate
+NODES_FULL_491 = 863
+NODES_GAPPED_491 = 3_179
+NODES_TWO_PERCENT_491 = 2_573
+
+
 def synth_table_bound(p, zero_keys=()):
     irr = irregular_indices(p)
     elig = eligible_set(irr, parsed(irr, synth_table(p, irr, zero_keys, seed=11)))
@@ -559,8 +627,7 @@ def test_full_table_491(monkeypatch):
     assert (bound.d, bound.bound_exact) == (76, 77)
     assert len(bound.witness) == 76
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
-    # the search tree is deterministic; a change to its size should be deliberate
-    assert nodes == [1_368]
+    assert nodes == [NODES_FULL_491]
 
 
 def test_gapped_table_491(monkeypatch):
@@ -574,7 +641,7 @@ def test_gapped_table_491(monkeypatch):
     # recorded before unit propagation joined the bound, which cannot move it
     assert hashlib.sha256(repr(bound.witness).encode()).hexdigest() == (
         "2aa6fba7fce456b9279360d27c20596b949e6b97b611c955e404a7534f45c0df")
-    assert nodes == [3_659]
+    assert nodes == [NODES_GAPPED_491]
 
 
 def test_two_percent_zeros_491(monkeypatch):
@@ -588,7 +655,7 @@ def test_two_percent_zeros_491(monkeypatch):
     assert (bound.d, bound.bound_exact) == (75, 76)
     assert not {i for i, _ in zeros} & set(bound.witness)
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
-    assert nodes == [3_627]
+    assert nodes == [NODES_TWO_PERCENT_491]
 
 
 def calls_left() -> int:
@@ -613,7 +680,7 @@ def test_full_table_491_needs_no_recursion(monkeypatch):
         res = max_disjoint_translates_exact(pi)
     finally:
         set_limit(limit)
-    assert (res.count, res.nodes) == (76, 1_368)
+    assert (res.count, res.nodes) == (76, NODES_FULL_491)
 
 
 def small_r2_sets():
