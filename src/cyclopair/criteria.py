@@ -11,8 +11,8 @@ Three verdicts per prime:
 
 Statuses never overclaim: FAILS is reserved for the one unconditionally
 negative signal (a zero pairing entry under the abelianness criterion),
-HOLDS is never emitted while required data is missing, and every verdict
-records the hypothesis flags it leaned on.
+HOLDS is never emitted while required data is missing, and each report
+records once the hypothesis flags its verdicts leaned on.
 """
 
 import math
@@ -90,19 +90,16 @@ class HypothesisFlags(_FlagFields):
 class Verdict(NamedTuple):
     status: str
     detail: dict
-    flags_used: HypothesisFlags
 
 
 class HeightBound(NamedTuple):
-    p: int
     zero_module: bool
-    d: int | None
-    bound_exact: int | None
-    bound_corollary: tuple[int, int] | None  # reduced (numerator, denominator)
-    corollary_ceiling: int | None
-    witness: tuple[int, ...]
-    partial: bool
-    flags_used: HypothesisFlags
+    d: int | None = None
+    bound_exact: int | None = None
+    bound_corollary: tuple[int, int] | None = None  # reduced (numerator, denominator)
+    corollary_ceiling: int | None = None
+    witness: tuple[int, ...] = ()
+    partial: bool = False
 
 
 def _require_same_prime(*ps: int) -> None:
@@ -123,33 +120,28 @@ def greenberg_verdict(
         return Verdict(
             INCONCLUSIVE,
             {"reason": "criterion requires Vandiver's conjecture at p"},
-            flags,
         )
     if not irr.indices:
         return Verdict(
             TRIVIAL,
             {"reason": "regular prime: the module vanishes under Vandiver"},
-            flags,
         )
     if elig.eligible:
         (witness,) = offsets(elig.eligible & -elig.eligible)  # the lowest set bit
         return Verdict(
             HOLDS,
             {"witness_offset": witness, "eligible_count": elig.eligible.bit_count()},
-            flags,
         )
     if elig.missing:
         return Verdict(
             CONDITIONAL,
             {"reason": "no eligible offset in the available data",
              "missing_count": elig.missing.bit_count()},
-            flags,
         )
     return Verdict(
         INCONCLUSIVE,
         {"reason": "complete data but no eligible offset; "
                    "the criterion is sufficient only"},
-        flags,
     )
 
 
@@ -171,30 +163,21 @@ def height_lower_bound(
     offsets; with incomplete data the eligible set is conservative (smaller
     than the truth), so the bound stays valid and is flagged partial.  The
     counting bound s/(r^2 - r + 1) + 1 needs complete data for s.  Without
-    Vandiver there is no bound: the record is empty, its module not zero.
+    Vandiver there is no bound: ``HeightBound(False)``, its module not zero.
     """
     _require_same_prime(irr.p, elig.p)
     if not flags.vandiver_usable:
-        return HeightBound(irr.p, False, None, None, None, None, (), False, flags)
+        return HeightBound(False)
     if not irr.indices:
-        return HeightBound(irr.p, True, None, None, None, None, (), False, flags)
-    inst = PackingInstance.from_sets(irr.p - 1, irr.indices, offsets(elig.eligible))
+        return HeightBound(True)
+    inst = PackingInstance(irr.p - 1, irr.indices, offsets(elig.eligible))
     result = max_disjoint_translates_exact(inst)
     partial = not elig.complete
     corollary = ceiling = None
     if not partial:
         corollary, ceiling = counting_bound(elig.s, irr.r)
-    return HeightBound(
-        irr.p,
-        False,
-        result.count,
-        result.count + 1,
-        corollary,
-        ceiling,
-        result.witness,
-        partial,
-        flags,
-    )
+    return HeightBound(False, result.count, result.count + 1, corollary, ceiling,
+                       result.witness, partial)
 
 
 def gk_verdict(
@@ -216,13 +199,11 @@ def gk_verdict(
         return Verdict(
             INCONCLUSIVE,
             {"reason": "criterion requires Vandiver and procyclic eigenspaces"},
-            flags,
         )
     if irr.r <= 1:
         return Verdict(
             HOLDS,
             {"reason": "rank at most 1: free pro-p, hence abelian", "r": irr.r},
-            flags,
         )
     if not cc.ok:
         return Verdict(
@@ -231,7 +212,6 @@ def gk_verdict(
              "hypothesis_reading": "unordered pairs",
              "sum_two_violations": list(cc.sum_two_violations),
              "collision_violations": list(cc.collision_violations)},
-            flags,
         )
     pairs = list(combinations(irr.indices, 2))  # each k < k', in order
     zero, missing, b_only = [], [], []
@@ -244,19 +224,17 @@ def gk_verdict(
         elif status == "nonzero-b":
             b_only.append((k, kp))
     if zero:
-        return Verdict(FAILS, {"zero_pairs": zero, "reason": "nonabelian"}, flags)
+        return Verdict(FAILS, {"zero_pairs": zero, "reason": "nonabelian"})
     if missing:
-        return Verdict(CONDITIONAL, {"missing_pairs": missing}, flags)
+        return Verdict(CONDITIONAL, {"missing_pairs": missing})
     if b_only and flags.pairing_surjective != FLAG_TRUE:
         return Verdict(
             CONDITIONAL,
             {"reason": "abelian if the pairing is surjective",
              "b_only_pairs": b_only},
-            flags,
         )
     return Verdict(
         HOLDS,
         {"checked_pairs": pairs, "hypothesis_reading": "unordered pairs"},
-        flags,
     )
 

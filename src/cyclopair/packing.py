@@ -100,22 +100,34 @@ from typing import Iterable, NamedTuple
 BRUTE_FORCE_LIMIT = 20
 
 
-class PackingInstance(NamedTuple):
+class _InstanceFields(NamedTuple):
     modulus: int
-    shape: tuple[int, ...]       # the translate shape R, reduced mod m, sorted
-    candidates: tuple[int, ...]  # the offsets I, reduced mod m, sorted
+    shape: tuple[int, ...]       # the translate shape R, reduced mod m and sorted
+    candidates: tuple[int, ...]  # the offsets I, reduced mod m and sorted
 
-    @classmethod
-    def from_sets(
+
+class PackingInstance(_InstanceFields):
+    """The translates i + R in Z/m for i in I.  R and I are reduced mod m,
+    sorted and without repeats by construction, whatever the route."""
+
+    __slots__ = ()
+
+    def __new__(
         cls, modulus: int, shape: Iterable[int], candidates: Iterable[int]
     ) -> "PackingInstance":
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        return cls(
+        return super().__new__(
+            cls,
             modulus,
             tuple(sorted({x % modulus for x in shape})),
             tuple(sorted({x % modulus for x in candidates})),
         )
+
+    @classmethod
+    def _make(cls, fields) -> "PackingInstance":
+        # _replace builds through _make: normalise there too
+        return cls(*fields)
 
 
 class PackingResult(NamedTuple):
@@ -409,7 +421,6 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     witness is the fixed search order's first optimum, reported sorted;
     ``nodes`` counts the search nodes.
     """
-    inst = PackingInstance.from_sets(*inst)
     if not inst.candidates:
         return PackingResult(0, (), "exact")
     i0, t, mask, adj, orbits = _circulant(inst)
@@ -425,7 +436,6 @@ def brute_force_packing(inst: PackingInstance) -> PackingResult:
     difference-set reduction, so this is a genuinely independent oracle.
     The witness is the lexicographically least maximum subset.
     """
-    inst = PackingInstance.from_sets(*inst)
     verts = list(inst.candidates)
     n = len(verts)
     if n > BRUTE_FORCE_LIMIT:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from . import InputError, decimal_int
 from .bernoulli import IrregularSet
+from .modmath import require_odd_prime
 
 # bytes of whole lines per read of a pairing file
 READ_CHUNK = 1 << 12
@@ -270,16 +271,23 @@ def parse_pairing_file(
     """Split a multi-prime table into per-prime tables.
 
     ``source`` is the UTF-8 text in blocks of whole lines (see
-    ``read_blocks``).  Rows for primes absent from R_by_p are ignored (they
-    belong to a range the caller is not sweeping); a prime without rows gets
-    no table.  The first bad line in file order is reported; the B/E
-    zeroness check runs once every row is read.
+    ``read_blocks``).  Rows for odd primes absent from R_by_p are ignored
+    (they belong to a range the caller is not sweeping), and a row whose p is
+    not an odd prime is an error; a prime without rows gets no table.  The
+    first bad line in file order is reported; the B/E zeroness check runs
+    once every row is read.
     """
     readers: dict[int, _TableReader] = {}
+    skipped: set[int] = set()  # odd primes outside R_by_p, each checked once
     for lineno, kind, p, a, b, value in _rows(source):
         reader = readers.get(p)
         if reader is None:
             if p not in R_by_p:
+                if p not in skipped:
+                    try:
+                        skipped.add(require_odd_prime(p))
+                    except ValueError as exc:  # not prime, or past the primality test
+                        raise PairingFormatError(f"line {lineno}: {exc}") from None
                 continue
             reader = readers[p] = _TableReader(R_by_p[p])
         if kind == "E":

@@ -51,7 +51,7 @@ class Report(NamedTuple):
     height: HeightBound
     greenberg: Verdict
     gk: Verdict
-    flags: HypothesisFlags
+    flags: HypothesisFlags  # the one record of the flags the verdicts above used
     digest: str
 
     def to_obj(self) -> dict:

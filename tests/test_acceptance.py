@@ -153,7 +153,7 @@ def test_acceptance_6_packing_solvers():
         shape = rng.sample(range(m), rng.randint(1, min(4, m)))
         size = rng.randint(15, 20) if case % 17 == 0 else rng.randint(0, 14)
         cands = rng.sample(range(m), min(size, m))
-        inst = PackingInstance.from_sets(m, shape, cands)
+        inst = PackingInstance(m, shape, cands)
         exact = max_disjoint_translates_exact(inst)
         brute = brute_force_packing(inst)
         greedy = max_disjoint_translates_greedy(inst)

@@ -450,6 +450,22 @@ def test_pairing_rows_accept_ascii_digits_only(tmp_path, capsys, row, argv):
     assert err.startswith("cyclopair: error: ") and "line 2: " in err
 
 
+@pytest.mark.parametrize("row", [
+    pytest.param("E\t1219\t1\t784\t5", id="typo-for-1217"),
+    pytest.param("E\t9\t1\t2\t3", id="odd-composite"),
+    pytest.param("E\t3215031751\t1\t2\t3", id="past-the-primality-test"),
+])
+@pytest.mark.parametrize("argv", [["criteria", "1217"], ["report", "--max-p", "40"]],
+                         ids=["criteria", "report"])
+def test_pairing_rows_of_a_non_prime_exit_2(tmp_path, capsys, row, argv):
+    # rows of primes outside the sweep are skipped, but not rows whose p is no prime
+    table = tmp_path / "table.tsv"
+    table.write_text("E\t1217\t1\t784\t5\nE\t37\t3\t32\t5\n" + row + "\n")
+    assert cli.main([*argv, "--pairing", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cyclopair: error: ") and "line 3: " in err
+
+
 def test_report_small_deterministic():
     args = ("report", "--max-p", 300, "--pairing", FIXTURES / "exceptional.tsv")
     a = run_cli(*args)

@@ -185,7 +185,7 @@ def test_height_requires_vandiver():
     flags = flags_for(37, vandiver=FLAG_FALSE_UNKNOWN)
     for table in (PairingTable(37), parsed(IRR_37, synth_table(37, IRR_37, seed=1))):
         hb = height_lower_bound(IRR_37, eligible_set(IRR_37, table), flags)
-        assert hb == HeightBound(37, False, None, None, None, None, (), False, flags)
+        assert hb == HeightBound(False)
 
 
 def test_height_exact_dominates_corollary_on_complete_data():

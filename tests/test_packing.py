@@ -30,7 +30,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "ir
 
 
 def inst(m, R, I):
-    return PackingInstance.from_sets(m, R, I)
+    return PackingInstance(m, R, I)
 
 
 def max_disjoint_translates_greedy(inst: PackingInstance) -> PackingResult:
@@ -92,12 +92,36 @@ def test_instance_normalizes():
     assert a.candidates == (1, 3)
 
 
-@pytest.mark.parametrize("solve", [max_disjoint_translates_exact, brute_force_packing])
-@pytest.mark.parametrize("cands", [(5, 1), (1, 13), (7, 3, 1)])
-def test_solvers_normalize_direct_instances(solve, cands):
-    # unsorted, unreduced or repeated candidates in an instance built directly
-    direct = PackingInstance(12, (2, 6), cands)
-    assert solve(direct) == solve(inst(*direct))
+def test_every_construction_route_normalizes():
+    # unsorted, unreduced and repeated entries, whichever way the instance is built
+    normal = (12, (2, 6), (1, 5))
+    raw = (12, (14, 2, -6), (5, 1, 13, 1))
+    built = [
+        PackingInstance(*raw),
+        PackingInstance._make(raw),
+        PackingInstance(12, (), ())._replace(shape=raw[1], candidates=raw[2]),
+        PackingInstance(*normal)._replace(candidates=(13, 5)),
+    ]
+    for instance in built:
+        assert instance == normal and type(instance) is PackingInstance
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        PackingInstance(0, (1,), (1,))
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        built[0]._replace(modulus=0)
+
+
+@pytest.mark.parametrize("raw", [
+    (12, (14, 2, -6), (5, 1, 13, 1)),
+    (12, (2, 6), (7, 3, 1, 19)),
+    (36, (-4, 68), (35, -1, 1, 37, 3)),
+])
+def test_solvers_match_brute_on_normalized_instances(raw):
+    instance = PackingInstance(*raw)
+    exact, brute = max_disjoint_translates_exact(instance), brute_force_packing(instance)
+    assert exact.count == brute.count
+    for result in (exact, brute):
+        assert set(result.witness) <= set(instance.candidates)
+        assert translates_disjoint(instance, result.witness)
 
 
 def random_instance(rng):

@@ -136,6 +136,33 @@ def test_parse_pairing_file_multi_prime():
     assert row_values(tables[1217]) == ({(784, 866): 0}, {})
 
 
+def test_parse_checks_each_skipped_p_once(monkeypatch):
+    checked = []
+
+    def require_odd_prime(p):
+        checked.append(p)
+        return p
+
+    monkeypatch.setattr(pairing, "require_odd_prime", require_odd_prime)
+    text = "".join(f"E\t{p}\t1\t32\t5\n" for p in (7069, 41, 7069, 37, 41, 7069))
+    assert set(parse_pairing_file([text.encode()], {37: IRR_37})) == {37}
+    assert checked == [7069, 41]
+
+
+@pytest.mark.parametrize("p, message", [
+    (1219, "line 2: 1219 is not an odd prime"),
+    (9, "line 2: 9 is not an odd prime"),
+    (2, "line 2: 2 is not an odd prime"),
+    (0, "line 2: 0 is not an odd prime"),
+    (3_215_031_751, "line 2: primality test not supported"),
+])
+def test_parse_rejects_rows_of_a_non_prime(p, message):
+    # rows of an odd prime outside the lookup are skipped; any other p is a typo
+    text = f"E\t7069\t1\t2\t5\nE\t{p}\t1\t784\t5\nE\t37\t7\t32\t5\n"
+    with pytest.raises(PairingFormatError, match=message):
+        parse_pairing_file([text.encode()], {37: IRR_37, 1217: IRR_1217})
+
+
 def test_b_to_e_paper_triples():
     assert b_to_e(IRR_1217, 784, 866) == (433, 866)
     assert b_to_e(IrregularSet(7069, (1478, 2570)), 1478, 2570) == (5591, 2570)

@@ -20,13 +20,13 @@ RECORDS = [
     BernoulliRow(7, {2: 6, 4: 3}, "naive"),
     IRR_37,
     CongruenceCheckResult(37, (), ()),
-    PackingInstance.from_sets(12, [2, 6], [1, 3, 5]),
+    PackingInstance(12, [2, 6], [1, 3, 5]),
     PackingResult(1, (1,), "exact"),
     PairingTable(37),
     EligibleSet(37, 0b11, 0),
     FLAGS,
-    Verdict("HOLDS", {}, FLAGS),
-    HeightBound(37, False, 1, 2, (5, 2), 3, (1,), False, FLAGS),
+    Verdict("HOLDS", {}),
+    HeightBound(False, 1, 2, (5, 2), 3, (1,), False),
     REPORT_37,
 ]
 
