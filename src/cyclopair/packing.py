@@ -30,9 +30,33 @@ branch is a packing, so the right side is at most alpha(I).  Conversely,
 let S be a maximum packing and j the least index with S meeting O_j, say at
 v_j + sg.  Then S - sg lies in I, is a packing of the same size, contains
 v_j and misses O_1, ..., O_{j-1}; without v_j it is a packing of the j-th
-subproblem.  A full table has every bit, so g = 1, one orbit, and
-alpha = 1 + alpha(I - N[0]).  Without a period below n the search is the
-plain branch and bound.
+subproblem.  A full mask has g = 1, one orbit, and alpha = 1 + alpha(I -
+N[0]); above degree 2 the difference ladder below replaces it.  Without a
+period below n the search is the plain branch and bound.
+
+Difference ladder.  A full mask is the circulant C_n(S), S the pattern,
+and a rotation moves any pair of vertices, not only one (orbital branching
+applied to pairs: Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
+2011).  For a difference d in [1, n/2] outside S, let S_d add to S the
+pair +-d' of every difference d' < d outside S.  Take a packing P with
+|P| >= 2 and let delta be the least difference in [1, n/2] between two of
+its elements; delta is not in S.  Rotate P so that this pair is {0,
+delta}.  The rotated P has no pair at a smaller difference, so it is a
+packing of C_n(S_delta) containing 0 and delta, and
+
+    alpha(C_n(S)) = max(1, max_d (2 + alpha(C_n(S_d) - N[0] - N[d]))),
+
+over the d outside S in ascending order, N taken in C_n(S_d): each term is
+a packing of C_n(S_d), so of C_n(S).  The ladder starts from the ascending
+greedy packing as the incumbent best.  Each step is solved with best - 2
+as a floor without a witness, so it searches only for something better.
+Before each step the root clique-cover bound of C_n(S_d) is tried: S_d
+only grows along the ladder, so once it proves alpha(C_n(S_d)) <= best no
+later term can win, and the ladder stops.  When every difference lies in
+S the graph is complete and the greedy vertex 0 is the answer.  At degree
+2 or less every component is a path or a cycle, the orbit rule's one
+branch is cheap, and the ladder only adds O(n) passes (32 % more time on
+the r <= 2 full tables below 2,000), so it runs only above degree 2.
 
 Dirty reductions.  A vertex b whose neighbours left in the mask form a
 clique is taken and N[b] removed: a maximum packing S meets that clique at
@@ -201,14 +225,15 @@ def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
 
 
 # The cover is examined up to this many cliques over the limit, so a proof
-# takes at most this many disjoint sets.  The p = 491 solve, full table /
-# zero entry at (1, 292), best of 9 interleaved runs on a 2-vCPU x86-64 host
-# with CPython 3.11 (1 is plain unit propagation):
-#   cap 1: 2,817 / 11,615 nodes, 189 / 798 ms
-#   cap 2: 1,143 /  4,231 nodes,  86 / 328 ms
-#   cap 3:   863 /  3,179 nodes,  72 / 283 ms
-#   cap 4:   835 /  3,069 nodes,  74 / 292 ms
-#   cap 8:   835 /  3,069 nodes,  77 / 312 ms
+# takes at most this many disjoint sets.  The p = 491 solve, full table (by
+# the difference ladder) / zero entry at (1, 292), best of 9 interleaved
+# runs on a 2-vCPU x86-64 host with CPython 3.11 (1 is plain unit
+# propagation):
+#   cap 1: 1,512 / 11,615 nodes, 93 / 776 ms
+#   cap 2:   626 /  4,231 nodes, 44 / 313 ms
+#   cap 3:   386 /  3,179 nodes, 34 / 289 ms
+#   cap 4:   356 /  3,069 nodes, 30 / 308 ms
+#   cap 8:   356 /  3,069 nodes, 32 / 296 ms
 _CAP = 3
 
 
@@ -314,8 +339,11 @@ def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
     return not ys & ~_reach(adj, mask, ys & -ys, ys)
 
 
-def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int, int]:
-    """Exact (count, chosen_mask, nodes) for the induced subgraph on ``mask``.
+def _solve_mask(
+    adj: list[int], mask: int, orbits: list[int], floor: int = 0
+) -> tuple[int, int, int]:
+    """Exact (count, chosen_mask, nodes) for the induced subgraph on ``mask``,
+    or (floor, 0, nodes) when no packing has more than ``floor`` vertices.
 
     ``orbits`` partitions ``mask`` into the orbits of a translation symmetry,
     in the order of their least vertex, or is empty; with orbits the root
@@ -331,7 +359,9 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     """
     # no vertex can exceed the maximum degree of the whole graph
     max_deg = max(a.bit_count() for a in adj)
-    bests = [_greedy_mask(mask, adj)]  # then one per open component
+    greedy = _greedy_mask(mask, adj)
+    # then one per open component
+    bests = [greedy if greedy[0] > floor else (floor, 0)]
     stack = []
     for orbit in orbits:
         vb = orbit & -orbit
@@ -414,6 +444,31 @@ def _solve_mask(adj: list[int], mask: int, orbits: list[int]) -> tuple[int, int,
     return *bests[0], nodes
 
 
+def _ladder(adj: list[int]) -> tuple[int, int, int]:
+    """Exact (count, chosen_mask, nodes) for a full circulant: one step per
+    non-conflict difference d, in ascending order, solving for the packings
+    whose closest pair is {0, d} (module docstring)."""
+    n = len(adj) - 1
+    full = (1 << n) - 1
+    pattern = adj[1]
+    best, chosen = _greedy_mask(full, adj)
+    nodes = 0
+    for d in range(1, n // 2 + 1):
+        if pattern >> d & 1:
+            continue
+        if _cover_bound(full, adj, best):
+            break
+        pair = 1 | 1 << d
+        count, rest, step_nodes = _solve_mask(
+            adj, full & ~(pair | adj[1] | adj[d + 1]), [], best - 2)
+        nodes += step_nodes
+        if count > best - 2:
+            best, chosen = count + 2, pair | rest
+        pattern |= 1 << d | 1 << n - d
+        adj = [0] + [(pattern << j | pattern >> n - j) & full for j in range(n)]
+    return best, chosen, nodes
+
+
 def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     """Maximum number of pairwise disjoint translates, with witness.
 
@@ -424,7 +479,10 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     if not inst.candidates:
         return PackingResult(0, (), "exact")
     i0, t, mask, adj, orbits = _circulant(inst)
-    _, chosen, nodes = _solve_mask(adj, mask, orbits)
+    if mask == (1 << len(adj) - 1) - 1 and adj[1].bit_count() > 2:
+        _, chosen, nodes = _ladder(adj)
+    else:
+        _, chosen, nodes = _solve_mask(adj, mask, orbits)
     offsets = [i0 + t * j for j in range(len(adj) - 1) if chosen >> j & 1]
     return _finish(inst, offsets, "exact", nodes)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclopair.bernoulli import IrregularSet, irregular_indices
-from cyclopair import criteria
+from cyclopair import criteria, packing
 from cyclopair.criteria import HypothesisFlags, height_lower_bound
 from cyclopair.packing import (
     PackingInstance,
@@ -16,6 +17,8 @@ from cyclopair.packing import (
     _circulant,
     _cover_bound,
     _finish,
+    _neighbours,
+    _solve_mask,
     _still_connected,
     brute_force_packing,
     conflict_diffs,
@@ -334,24 +337,26 @@ def tree_results():
     return list(map(max_disjoint_translates_exact, tree_instances()))
 
 
+def sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def test_search_tree_counts(tree_results):
     # the answers alone, recorded before the simplicial rule: no valid
     # bound or reduction may change a count
-    counts = [res.count for res in tree_results]
-    assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+    assert sha([res.count for res in tree_results]) == (
         "94a8dc8046edc8ccd91a08dcf2ae5aee96cf172615cbd96cecfd12689df3f339")
 
 
 def test_search_tree_digest(tree_results):
-    # (count, witness) of every instance, recorded with the simplicial rule:
-    # a stronger valid bound leaves both unchanged, a reduction may move a
-    # witness (the simplicial rule moved 23 of the 300)
-    rows = [(res.count, res.witness) for res in tree_results]
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "bc222038a089ebea82d3cf5878b0c09e7b307456595cfbdc576f364b66122f9d")
+    # (count, witness) of every instance, recorded with the difference
+    # ladder: a stronger valid bound leaves both unchanged, a reduction or a
+    # new branching may move a witness (the simplicial rule moved 23 of the
+    # 300, the ladder 6)
+    assert sha([(res.count, res.witness) for res in tree_results]) == (
+        "2dae6073fc205d587087a13b2fa393db7c7cd69287e383b8d366d14772d09819")
     # the search tree is deterministic; a change to its size should be deliberate
-    assert sum(res.nodes for res in tree_results) == 14_728
-
+    assert sum(res.nodes for res in tree_results) == 10_479
 
 def has_simplicial_of_degree_2(adj, mask):
     # reference: whether a vertex of mask has at least two neighbours in
@@ -385,12 +390,91 @@ def test_simplicial_rule_matches_brute():
 
 
 def test_simplicial_rule_shrinks_a_tree():
-    # tree instance 93, a full table on Z/17: after the root takes offset 0
-    # the simplicial rule finishes it, where degrees 0 and 1 took 7 nodes
+    # tree instance 93, a full table on Z/17, by the orbit rule (the solver
+    # takes the difference ladder here): after the root takes offset 0 the
+    # simplicial rule finishes it, where degrees 0 and 1 took 7 nodes
     pi = inst(17, [4, 6, 16], range(17))
+    i0, t, mask, adj, orbits = _circulant(pi)
+    count, chosen, nodes = _solve_mask(adj, mask, orbits)
+    assert (count, nodes) == (4, 1)
+    assert translates_disjoint(pi, [i0 + t * j for j in range(17) if chosen >> j & 1])
+    assert max_disjoint_translates_exact(pi).count == 4
+
+
+def solver_calls(monkeypatch):
+    # (orbits, floor) of each _solve_mask call from now on: the orbit rule
+    # makes one call with orbits, the difference ladder one per step
+    calls = []
+    solve = packing._solve_mask
+
+    def spy(adj, mask, orbits, floor=0):
+        calls.append((orbits, floor))
+        return solve(adj, mask, orbits, floor)
+
+    monkeypatch.setattr(packing, "_solve_mask", spy)
+    return calls
+
+
+def test_ladder_matches_brute_on_small_full_circulants(monkeypatch):
+    # every shape containing 0 with |R| in {2, 3, 4} on the full Z/m, m <= 14:
+    # the ladder runs exactly when the pattern D - {0} has more than two
+    # elements, the orbit rule otherwise
+    calls = solver_calls(monkeypatch)
+    sides = [0, 0]
+    for m in range(2, 15):
+        for r in (2, 3, 4):
+            for rest in itertools.combinations(range(1, m), r - 1):
+                pi = inst(m, (0, *rest), range(m))
+                calls.clear()
+                exact = max_disjoint_translates_exact(pi)
+                assert exact.count == brute_force_packing(pi).count, pi
+                assert len(exact.witness) == exact.count
+                assert translates_disjoint(pi, exact.witness)
+                laddered = len(conflict_diffs(pi.shape, m)) > 3
+                assert laddered == all(not orbits for orbits, _ in calls), pi
+                sides[laddered] += 1
+    assert sides == [95, 1361]
+
+
+@pytest.mark.parametrize("shape, modulus, count, floors", [
+    # tree instance 108: the greedy's 14 holds through five steps
+    ((5, 17, 37, 71), 74, 14, [12] * 5),
+    # tree instance 189: the first step beats the greedy's 12 with 15
+    ((6, 14, 73, 77), 94, 15, [10, 13, 13, 13, 13]),
+])
+def test_ladder_steps(monkeypatch, shape, modulus, count, floors):
+    pi = inst(modulus, shape, range(modulus))
+    i0, t, mask, adj, orbits = _circulant(pi)
+    assert _solve_mask(adj, mask, orbits)[0] == count  # the orbit rule
+    calls = solver_calls(monkeypatch)
     res = max_disjoint_translates_exact(pi)
-    assert (res.count, res.nodes) == (4, 1)
-    assert translates_disjoint(pi, res.witness)
+    assert res.count == count
+    assert calls == [([], floor) for floor in floors]
+
+
+@pytest.mark.parametrize("modulus, shape", [(7, (0, 1, 3)), (13, (0, 1, 3, 9))])
+def test_ladder_runs_out_of_differences(monkeypatch, modulus, shape):
+    # a perfect difference set: R - R is all of Z/m, the graph is complete,
+    # no difference is left for a step, and the greedy's vertex 0 stands
+    pi = inst(modulus, shape, range(modulus))
+    assert conflict_diffs(pi.shape, modulus) == frozenset(range(modulus))
+    calls = solver_calls(monkeypatch)
+    res = max_disjoint_translates_exact(pi)
+    assert (res.count, res.witness, res.nodes) == (1, (0,), 0)
+    assert brute_force_packing(pi).count == 1
+    assert calls == []
+
+
+def test_solve_mask_floor():
+    # the 5-cycle has alpha = 2: a floor below it gets a witness, a floor at
+    # or above it comes back as (floor, no witness)
+    _, _, full, adj, _ = _circulant(inst(5, [0, 1], range(5)))
+    for floor in (0, 1):
+        count, chosen, _ = _solve_mask(adj, full, [], floor)
+        assert (count, chosen.bit_count()) == (2, 2)
+        assert not chosen & _neighbours(adj, chosen)
+    for floor in (2, 3):
+        assert _solve_mask(adj, full, [], floor)[:2] == (floor, 0)
 
 
 def rank_adjacency(pi):
@@ -617,11 +701,21 @@ def test_still_connected_matches_full_search():
     assert outcomes.count(False) >= 30 and outcomes.count(True) >= 30
 
 
-# search nodes of the p = 491 solves, recorded with the simplicial rule; the
-# search tree is deterministic, so a change to its size should be deliberate
-NODES_FULL_491 = 863
+# search nodes of the p = 491 solves, the full table's recorded with the
+# difference ladder, the others with the simplicial rule; the search tree is
+# deterministic, so a change to its size should be deliberate
+NODES_FULL_491 = 386
 NODES_GAPPED_491 = 3_179
 NODES_TWO_PERCENT_491 = 2_573
+
+
+def two_percent_zeros():
+    keys = [(i, k) for i in range(1, 490, 2) for k in irregular_indices(491).indices]
+    return random.Random(2).sample(keys, len(keys) // 50)
+
+
+# the zero entries of the three p = 491 tables the pins above belong to
+ZEROS_491 = {"full": [], "gapped": [(1, 292)], "two-percent": two_percent_zeros()}
 
 
 def synth_table_bound(p, zero_keys=()):
@@ -644,7 +738,7 @@ def solved_nodes(monkeypatch):
 
 
 def test_full_table_491(monkeypatch):
-    # the hardest full table below 500 (r = 3): one orbit under the period 2
+    # the hardest full table below 500 (r = 3), by the difference ladder
     nodes = solved_nodes(monkeypatch)
     irr, bound = synth_table_bound(491)
     assert irr.indices == (292, 336, 338)
@@ -658,12 +752,12 @@ def test_gapped_table_491(monkeypatch):
     # one zero entry e(1, 292) takes offset 1 out and breaks the period, so
     # the orbit rule does not apply and the plain branch and bound runs
     nodes = solved_nodes(monkeypatch)
-    irr, bound = synth_table_bound(491, [(1, 292)])
+    irr, bound = synth_table_bound(491, ZEROS_491["gapped"])
     assert (bound.d, bound.bound_exact) == (76, 77)
     assert 1 not in bound.witness
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
     # recorded before unit propagation joined the bound, which cannot move it
-    assert hashlib.sha256(repr(bound.witness).encode()).hexdigest() == (
+    assert sha(bound.witness) == (
         "2aa6fba7fce456b9279360d27c20596b949e6b97b611c955e404a7534f45c0df")
     assert nodes == [NODES_GAPPED_491]
 
@@ -672,10 +766,8 @@ def test_two_percent_zeros_491(monkeypatch):
     # 2 % of the entries zero, seeded: d = 75, as before disjoint sets
     # joined the bound
     nodes = solved_nodes(monkeypatch)
-    irr = irregular_indices(491)
-    keys = [(i, k) for i in range(1, 490, 2) for k in irr.indices]
-    zeros = random.Random(2).sample(keys, len(keys) // 50)
-    _, bound = synth_table_bound(491, zeros)
+    zeros = ZEROS_491["two-percent"]
+    irr, bound = synth_table_bound(491, zeros)
     assert (bound.d, bound.bound_exact) == (75, 76)
     assert not {i for i, _ in zeros} & set(bound.witness)
     assert translates_disjoint(inst(490, irr.indices, range(1, 490, 2)), bound.witness)
@@ -737,3 +829,18 @@ def test_r2_answer_key_covers_the_cycle_cases():
     assert sum(irr.r == 2 and math.gcd((irr.p - 1) // 2,
                                        (irr.indices[1] - irr.indices[0]) // 2) > 1
                for irr in sets) == 22
+
+
+if __name__ == "__main__":
+    # print every solver pin this file checks, as the solver now finds it,
+    # so that a deliberate re-pin takes one run:
+    #   PYTHONPATH=src python tests/test_packing.py
+    for name, zeros in ZEROS_491.items():
+        with pytest.MonkeyPatch.context() as mp:
+            nodes = solved_nodes(mp)
+            _, bound = synth_table_bound(491, zeros)
+        print(f"p = 491 {name}: d = {bound.d}, nodes {nodes}, witness sha {sha(bound.witness)}")
+    results = list(map(max_disjoint_translates_exact, tree_instances()))
+    print(f"tree counts sha {sha([res.count for res in results])}")
+    print(f"tree (count, witness) sha {sha([(res.count, res.witness) for res in results])}")
+    print(f"tree nodes {sum(res.nodes for res in results):_}")
