@@ -17,22 +17,12 @@ Vertices j and j' conflict exactly when j - j' lies in D/t mod n, so the
 neighbours of j are the pattern (D - {0})/t rotated by j, ANDed with the
 mask.  A full table has i0 = 1 and t = 2: bit j is offset 2j + 1.
 
-Orbit rule.  A conflict depends only on j - j', so a rotation by g that
-fixes the mask maps packings to packings of the same size.  Let g be the
-period of the mask, the least divisor of n with rot(mask, g) = mask, and
-v_1 < ... < v_k its bits below g, so that the orbits v_j + gZ partition
-it.  When g < n the root branches once per orbit:
-
-    alpha(I) = max_j (1 + alpha(I - O_1 - ... - O_{j-1} - N[v_j])),
-
-with O_j the orbit of v_j and N[v] the closed neighbourhood.  Proof: each
-branch is a packing, so the right side is at most alpha(I).  Conversely,
-let S be a maximum packing and j the least index with S meeting O_j, say at
-v_j + sg.  Then S - sg lies in I, is a packing of the same size, contains
-v_j and misses O_1, ..., O_{j-1}; without v_j it is a packing of the j-th
-subproblem.  A full mask has g = 1, one orbit, and alpha = 1 + alpha(I -
-N[0]); above degree 2 the difference ladder below replaces it.  Without a
-period below n the search is the plain branch and bound.
+Full masks.  A conflict depends only on j - j', so when the mask is all
+of Z/n a rotation maps packings to packings of the same size, and it puts
+a vertex of any maximum packing on vertex 0: alpha = 1 + alpha(I - N[0]),
+N[v] the closed neighbourhood.  At degree 2 or less the search takes
+vertex 0 and runs on the rest; above it the difference ladder below fixes
+a pair instead.  Every other mask gets the plain branch and bound.
 
 Difference ladder.  A full mask is the circulant C_n(S), S the pattern,
 and a rotation moves any pair of vertices, not only one (orbital branching
@@ -54,9 +44,10 @@ Before each step the root clique-cover bound of C_n(S_d) is tried: S_d
 only grows along the ladder, so once it proves alpha(C_n(S_d)) <= best no
 later term can win, and the ladder stops.  When every difference lies in
 S the graph is complete and the greedy vertex 0 is the answer.  At degree
-2 or less every component is a path or a cycle, the orbit rule's one
-branch is cheap, and the ladder only adds O(n) passes (32 % more time on
-the r <= 2 full tables below 2,000), so it runs only above degree 2.
+2 or less every component is a path or a cycle, and taking vertex 0 is
+cheap, while the ladder makes up to n/2 steps, each a search of its own:
+it does not finish the full table of p = 8,419 (r = 2, 69 cycles of
+length 61) within 15 s.  So the ladder runs only above degree 2.
 
 Dirty reductions.  A vertex b whose neighbours left in the mask form a
 clique is taken and N[b] removed: a maximum packing S meets that clique at
@@ -189,11 +180,10 @@ def _finish(
     return PackingResult(len(witness), witness, method, nodes)
 
 
-def _circulant(inst: PackingInstance) -> tuple[int, int, int, list[int], list[int]]:
-    """(i0, t, mask, adj, orbits) for nonempty candidates (module docstring):
-    candidate i0 + t*j is bit j of ``mask``, vertex j's neighbours are
-    ``adj[j + 1]`` (``adj[0]`` is 0), and ``orbits`` are the masks of the
-    orbits j + gZ for the period g of the mask, by least bit, or empty."""
+def _circulant(inst: PackingInstance) -> tuple[int, int, int, list[int]]:
+    """(i0, t, mask, adj) for nonempty candidates (module docstring):
+    candidate i0 + t*j is bit j of ``mask``, and vertex j's neighbours are
+    ``adj[j + 1]`` (``adj[0]`` is 0)."""
     m, cands = inst.modulus, inst.candidates
     diffs = conflict_diffs(inst.shape, m)
     i0 = cands[0]
@@ -205,12 +195,7 @@ def _circulant(inst: PackingInstance) -> tuple[int, int, int, list[int], list[in
     for i in cands:
         j = (i - i0) // t
         adj[j + 1] = (pattern << j | pattern >> n - j) & mask  # rotated by j
-    full = (1 << n) - 1
-    # the least divisor g of n with rot(mask, g) == mask; g = n always is
-    g = next(g for g in range(1, n + 1)
-             if n % g == 0 and (mask << g | mask >> n - g) & full == mask)
-    rep = full // ((1 << g) - 1)  # bits 0, g, 2g, ...; no orbit rule when g = n
-    return i0, t, mask, adj, [rep << j for j in range(g) if g < n and mask >> j & 1]
+    return i0, t, mask, adj
 
 
 def _greedy_mask(mask: int, adj: list[int]) -> tuple[int, int]:
@@ -339,19 +324,13 @@ def _still_connected(adj: list[int], mask: int, removed: int) -> bool:
     return not ys & ~_reach(adj, mask, ys & -ys, ys)
 
 
-def _solve_mask(
-    adj: list[int], mask: int, orbits: list[int], floor: int = 0
-) -> tuple[int, int, int]:
+def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, int]:
     """Exact (count, chosen_mask, nodes) for the induced subgraph on ``mask``,
     or (floor, 0, nodes) when no packing has more than ``floor`` vertices.
-
-    ``orbits`` partitions ``mask`` into the orbits of a translation symmetry,
-    in the order of their least vertex, or is empty; with orbits the root
-    branches once per orbit (module docstring).  ``nodes`` counts one per
-    include branch, exclude branch and component.
+    ``nodes`` counts one per include branch, exclude branch and component.
 
     One loop runs the search over a stack of frames (mask, dirty, conn,
-    cur_n, cur_mask), seeded with the orbit branches or the whole mask.  A
+    cur_n, cur_mask), seeded with the whole mask.  A
     branching goes on into its include side and pushes its exclude side.  A
     split pushes a join frame (dirty None) for the rest of the mask under
     the component's root; the join adds the component's incumbent, the top
@@ -362,13 +341,7 @@ def _solve_mask(
     greedy = _greedy_mask(mask, adj)
     # then one per open component
     bests = [greedy if greedy[0] > floor else (floor, 0)]
-    stack = []
-    for orbit in orbits:
-        vb = orbit & -orbit
-        sub = mask & ~(vb | adj[vb.bit_length()])
-        stack.append((sub, sub, 0, 1, vb))
-        mask &= ~orbit
-    stack = stack[::-1] or [(mask, mask, 0, 0, 0)]
+    stack = [(mask, mask, 0, 0, 0)]
     nodes = 0
     while stack:
         # invariant of a frame: no vertex of mask outside dirty is simplicial,
@@ -460,7 +433,7 @@ def _ladder(adj: list[int]) -> tuple[int, int, int]:
             break
         pair = 1 | 1 << d
         count, rest, step_nodes = _solve_mask(
-            adj, full & ~(pair | adj[1] | adj[d + 1]), [], best - 2)
+            adj, full & ~(pair | adj[1] | adj[d + 1]), best - 2)
         nodes += step_nodes
         if count > best - 2:
             best, chosen = count + 2, pair | rest
@@ -478,11 +451,14 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     """
     if not inst.candidates:
         return PackingResult(0, (), "exact")
-    i0, t, mask, adj, orbits = _circulant(inst)
-    if mask == (1 << len(adj) - 1) - 1 and adj[1].bit_count() > 2:
+    i0, t, mask, adj = _circulant(inst)
+    if mask != (1 << len(adj) - 1) - 1:
+        _, chosen, nodes = _solve_mask(adj, mask)
+    elif adj[1].bit_count() > 2:
         _, chosen, nodes = _ladder(adj)
-    else:
-        _, chosen, nodes = _solve_mask(adj, mask, orbits)
+    else:  # a rotation puts a maximum packing on vertex 0
+        _, chosen, nodes = _solve_mask(adj, mask & ~(1 | adj[1]))
+        chosen |= 1
     offsets = [i0 + t * j for j in range(len(adj) - 1) if chosen >> j & 1]
     return _finish(inst, offsets, "exact", nodes)
 

@@ -198,12 +198,12 @@ def test_full_candidate_cycle_structure():
     assert translates_disjoint(pi, res.witness)
 
 
-# moduli with several proper divisors, so periods and orbit counts vary
+# moduli with several proper divisors, so periods vary
 DIVISOR_RICH = (12, 18, 20, 24, 30, 36, 40, 48, 60)
 
 
 def periodic_instance(m, g, base, shape):
-    # I = base + gZ, so I + g = I: the orbits of the root rule are base's
+    # I = base + gZ, so I + g = I: the mask has period g
     return inst(m, shape, [b + t * g for b in base for t in range(m // g)])
 
 
@@ -214,36 +214,15 @@ def periods(m):
 
 def test_exact_matches_brute_periodic_random():
     rng = random.Random(4913)
-    orbit_counts = set()
     for _ in range(300):
         m = rng.choice(DIVISOR_RICH)
         g = rng.choice(periods(m))
         k = rng.randint(1, max(1, min(g, 16 // (m // g))))
         pi = periodic_instance(m, g, rng.sample(range(g), k),
                                rng.sample(range(m), rng.randint(1, 4)))
-        orbit_counts.add(len(_circulant(pi)[4]))
         exact = max_disjoint_translates_exact(pi)
         assert exact.count == brute_force_packing(pi).count, pi
         assert translates_disjoint(pi, exact.witness)
-    assert 1 in orbit_counts and max(orbit_counts) >= 4
-
-
-def test_orbit_masks_partition_the_candidates():
-    pi = periodic_instance(24, 6, [1, 2, 4], [0, 5])
-    _, _, mask, _, orbits = _circulant(pi)
-    assert len(orbits) == 3  # the period is 6: offsets 1, 2, 4 and their shifts
-    assert sum(orbits) == mask
-    assert sum(o.bit_count() for o in orbits) == mask.bit_count()
-    assert [o & -o for o in orbits] == sorted(o & -o for o in orbits)
-    # no period below m: the search runs without the root rule
-    assert _circulant(inst(24, [0, 5], [1, 2, 4, 7]))[4] == []
-
-
-def period(pi):
-    # reference: the least divisor g of m with I + g = I
-    members = set(pi.candidates)
-    return next(g for g in range(1, pi.modulus + 1) if pi.modulus % g == 0
-                and all((i + g) % pi.modulus in members for i in members))
 
 
 def circulant_instances(rng):
@@ -268,12 +247,11 @@ def circulant_instances(rng):
 
 def test_circulant_matches_translate_intersection():
     # bit j is offset i0 + t*j, in the order of the candidates; vertices j
-    # and k are adjacent exactly when their translates meet; the orbits are
-    # those of the period of I
+    # and k are adjacent exactly when their translates meet
     rng = random.Random(2718)
-    steps, orbit_counts = set(), set()
+    steps = set()
     for pi in circulant_instances(rng):
-        i0, t, mask, adj, orbits = _circulant(pi)
+        i0, t, mask, adj = _circulant(pi)
         n = len(adj) - 1
         assert n * t == pi.modulus
         verts = [j for j in range(n) if mask >> j & 1]
@@ -284,12 +262,8 @@ def test_circulant_matches_translate_intersection():
             want = sum(1 << k for k in verts
                        if j in translate and k != j and translate[j] & translate[k])
             assert adj[j + 1] == want, (pi, j)
-        g = period(pi)
-        assert len(orbits) == (0 if g == pi.modulus else sum(i < g for i in pi.candidates))
-        assert sum(orbits) in (0, mask)
         steps.add(t)
-        orbit_counts.add(len(orbits))
-    assert max(steps) > 1 and 1 in steps and max(orbit_counts) >= 3
+    assert max(steps) > 1 and 1 in steps
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,11 +326,11 @@ def test_search_tree_digest(tree_results):
     # (count, witness) of every instance, recorded with the difference
     # ladder: a stronger valid bound leaves both unchanged, a reduction or a
     # new branching may move a witness (the simplicial rule moved 23 of the
-    # 300, the ladder 6)
+    # 300, the ladder 6, dropping the orbit rule on periodic masks 1)
     assert sha([(res.count, res.witness) for res in tree_results]) == (
-        "2dae6073fc205d587087a13b2fa393db7c7cd69287e383b8d366d14772d09819")
+        "98bae3a244ab655421ce41e7071705d9ed4b0ff6b8e192f8c1ca6bc80d1fd41c")
     # the search tree is deterministic; a change to its size should be deliberate
-    assert sum(res.nodes for res in tree_results) == 10_479
+    assert sum(res.nodes for res in tree_results) == 10_564
 
 def has_simplicial_of_degree_2(adj, mask):
     # reference: whether a vertex of mask has at least two neighbours in
@@ -390,26 +364,28 @@ def test_simplicial_rule_matches_brute():
 
 
 def test_simplicial_rule_shrinks_a_tree():
-    # tree instance 93, a full table on Z/17, by the orbit rule (the solver
-    # takes the difference ladder here): after the root takes offset 0 the
-    # simplicial rule finishes it, where degrees 0 and 1 took 7 nodes
+    # tree instance 93, a full table on Z/17, with offset 0 taken as on a
+    # full mask of degree 2 or less (the solver takes the difference ladder
+    # here): the simplicial rule finishes the rest, where degrees 0 and 1
+    # took 7 nodes
     pi = inst(17, [4, 6, 16], range(17))
-    i0, t, mask, adj, orbits = _circulant(pi)
-    count, chosen, nodes = _solve_mask(adj, mask, orbits)
-    assert (count, nodes) == (4, 1)
-    assert translates_disjoint(pi, [i0 + t * j for j in range(17) if chosen >> j & 1])
+    i0, t, mask, adj = _circulant(pi)
+    count, chosen, nodes = _solve_mask(adj, mask & ~(1 | adj[1]))
+    assert (count + 1, nodes) == (4, 1)
+    assert translates_disjoint(pi, [i0 + t * j for j in range(17) if (chosen | 1) >> j & 1])
     assert max_disjoint_translates_exact(pi).count == 4
 
 
 def solver_calls(monkeypatch):
-    # (orbits, floor) of each _solve_mask call from now on: the orbit rule
-    # makes one call with orbits, the difference ladder one per step
+    # (mask, floor) of each _solve_mask call from now on: a full mask of
+    # degree 2 or less makes one call, on the vertices outside N[0]; the
+    # difference ladder makes one per step, each also outside some N[d]
     calls = []
     solve = packing._solve_mask
 
-    def spy(adj, mask, orbits, floor=0):
-        calls.append((orbits, floor))
-        return solve(adj, mask, orbits, floor)
+    def spy(adj, mask, floor=0):
+        calls.append((mask, floor))
+        return solve(adj, mask, floor)
 
     monkeypatch.setattr(packing, "_solve_mask", spy)
     return calls
@@ -418,20 +394,21 @@ def solver_calls(monkeypatch):
 def test_ladder_matches_brute_on_small_full_circulants(monkeypatch):
     # every shape containing 0 with |R| in {2, 3, 4} on the full Z/m, m <= 14:
     # the ladder runs exactly when the pattern D - {0} has more than two
-    # elements, the orbit rule otherwise
+    # elements, vertex 0 is taken otherwise
     calls = solver_calls(monkeypatch)
     sides = [0, 0]
     for m in range(2, 15):
         for r in (2, 3, 4):
             for rest in itertools.combinations(range(1, m), r - 1):
                 pi = inst(m, (0, *rest), range(m))
+                _, _, full, adj = _circulant(pi)
                 calls.clear()
                 exact = max_disjoint_translates_exact(pi)
                 assert exact.count == brute_force_packing(pi).count, pi
                 assert len(exact.witness) == exact.count
                 assert translates_disjoint(pi, exact.witness)
                 laddered = len(conflict_diffs(pi.shape, m)) > 3
-                assert laddered == all(not orbits for orbits, _ in calls), pi
+                assert laddered == (calls != [(full & ~(1 | adj[1]), 0)]), pi
                 sides[laddered] += 1
     assert sides == [95, 1361]
 
@@ -444,12 +421,12 @@ def test_ladder_matches_brute_on_small_full_circulants(monkeypatch):
 ])
 def test_ladder_steps(monkeypatch, shape, modulus, count, floors):
     pi = inst(modulus, shape, range(modulus))
-    i0, t, mask, adj, orbits = _circulant(pi)
-    assert _solve_mask(adj, mask, orbits)[0] == count  # the orbit rule
+    i0, t, mask, adj = _circulant(pi)
+    assert _solve_mask(adj, mask)[0] == count  # the plain search
     calls = solver_calls(monkeypatch)
     res = max_disjoint_translates_exact(pi)
     assert res.count == count
-    assert calls == [([], floor) for floor in floors]
+    assert [floor for _, floor in calls] == floors
 
 
 @pytest.mark.parametrize("modulus, shape", [(7, (0, 1, 3)), (13, (0, 1, 3, 9))])
@@ -468,13 +445,13 @@ def test_ladder_runs_out_of_differences(monkeypatch, modulus, shape):
 def test_solve_mask_floor():
     # the 5-cycle has alpha = 2: a floor below it gets a witness, a floor at
     # or above it comes back as (floor, no witness)
-    _, _, full, adj, _ = _circulant(inst(5, [0, 1], range(5)))
+    _, _, full, adj = _circulant(inst(5, [0, 1], range(5)))
     for floor in (0, 1):
-        count, chosen, _ = _solve_mask(adj, full, [], floor)
+        count, chosen, _ = _solve_mask(adj, full, floor)
         assert (count, chosen.bit_count()) == (2, 2)
         assert not chosen & _neighbours(adj, chosen)
     for floor in (2, 3):
-        assert _solve_mask(adj, full, [], floor)[:2] == (floor, 0)
+        assert _solve_mask(adj, full, floor)[:2] == (floor, 0)
 
 
 def rank_adjacency(pi):
@@ -749,8 +726,8 @@ def test_full_table_491(monkeypatch):
 
 
 def test_gapped_table_491(monkeypatch):
-    # one zero entry e(1, 292) takes offset 1 out and breaks the period, so
-    # the orbit rule does not apply and the plain branch and bound runs
+    # one zero entry e(1, 292) takes offset 1 out, so the mask is not full
+    # and the plain branch and bound runs
     nodes = solved_nodes(monkeypatch)
     irr, bound = synth_table_bound(491, ZEROS_491["gapped"])
     assert (bound.d, bound.bound_exact) == (76, 77)
@@ -799,20 +776,37 @@ def test_full_table_491_needs_no_recursion(monkeypatch):
     assert (res.count, res.nodes) == (76, NODES_FULL_491)
 
 
-def small_r2_sets():
-    # every prime below 5,000 with one or two irregular indices
+def reference_sets():
+    # the irregular primes below 25,000 with their indices
     for line in REFERENCE.read_text().splitlines():
         p, _, ks = line.partition("\t")
-        if int(p) < 5000 and ks != "-" and ks.count(",") <= 1:
+        if ks != "-":
             yield IrregularSet(int(p), tuple(map(int, ks.split(","))))
 
 
-@pytest.mark.parametrize("irr", small_r2_sets(), ids=lambda irr: str(irr.p))
+def small_r2_sets():
+    # every prime below 5,000 with one or two irregular indices
+    return [irr for irr in reference_sets() if irr.p < 5000 and irr.r <= 2]
+
+
+# the r = 2 full table with the most cycles below 25,000: gcd(n, a) = 69
+# cycles of length 61.  Taking vertex 0 solves it in these nodes; the
+# difference ladder does not finish it within 15 s, which is why it runs
+# only above degree 2
+IRR_8419 = next(irr for irr in reference_sets() if irr.p == 8419)
+NODES_FULL_8419 = 204
+
+
+def full_table(irr):
+    return inst(irr.p - 1, irr.indices, range(1, irr.p - 1, 2))
+
+
+@pytest.mark.parametrize("irr", [*small_r2_sets(), IRR_8419], ids=lambda irr: str(irr.p))
 def test_full_table_r2_cycle_formula(irr):
     # r = 1: no conflicts, d = n = (p - 1)/2.  r = 2: on the odd offsets the
     # only conflicts are j ~ j +- a with a = (k' - k)/2 over Z/n, so the
     # graph is g = gcd(n, a) cycles of length n/g and d = g * floor(n/2g)
-    pi = inst(irr.p - 1, irr.indices, range(1, irr.p - 1, 2))
+    pi = full_table(irr)
     res = max_disjoint_translates_exact(pi)
     n = (irr.p - 1) // 2
     if irr.r == 1:
@@ -821,6 +815,11 @@ def test_full_table_r2_cycle_formula(irr):
         g = math.gcd(n, (irr.indices[1] - irr.indices[0]) // 2)
         assert res.count == g * (n // (2 * g))
     assert translates_disjoint(pi, res.witness)
+
+
+def test_full_table_8419_takes_vertex_0():
+    res = max_disjoint_translates_exact(full_table(IRR_8419))
+    assert (res.count, res.nodes) == (69 * 30, NODES_FULL_8419)
 
 
 def test_r2_answer_key_covers_the_cycle_cases():
@@ -840,6 +839,8 @@ if __name__ == "__main__":
             nodes = solved_nodes(mp)
             _, bound = synth_table_bound(491, zeros)
         print(f"p = 491 {name}: d = {bound.d}, nodes {nodes}, witness sha {sha(bound.witness)}")
+    res = max_disjoint_translates_exact(full_table(IRR_8419))
+    print(f"p = 8419 full: d = {res.count}, nodes {res.nodes}")
     results = list(map(max_disjoint_translates_exact, tree_instances()))
     print(f"tree counts sha {sha([res.count for res in results])}")
     print(f"tree (count, witness) sha {sha([(res.count, res.witness) for res in results])}")
