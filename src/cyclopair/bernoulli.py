@@ -105,7 +105,7 @@ def _voronoi_base(p: int, k: int) -> int:
     # t = 2 unless 2^k == 1 mod p, then the smallest larger base that works
     t = 2
     while pow(t, k, p) == 1:
-        t = 3 if t == 2 else t + 1
+        t += 1
     return t
 
 
@@ -128,24 +128,21 @@ def bernoulli_voronoi(p: int, k: int) -> int:
 
 
 def bernoulli_voronoi_row(p: int) -> BernoulliRow:
-    """All even k at once, sharing the power table across k."""
+    """All even k at once, sharing the power table across k.  With t = 2,
+    floor(2j/p) is 1 exactly for j >= (p+1)/2 and 0 below, so the sum runs
+    over that upper half only."""
     _check_row_prime(p)
-    floor2 = [j * 2 // p for j in range(p)]
-    jpow = list(range(p))  # j^(k-1) for the current k, starting at k = 2
-    jsq = [j * j % p for j in range(p)]
+    upper = range((p + 1) // 2, p)
+    jpow = list(upper)  # j^(k-1) for each upper j and the current k, starting at k = 2
+    jsq = [j * j % p for j in upper]
     values: dict[int, int] = {}
     for k in range(2, p - 2, 2):
         if pow(2, k, p) == 1:
             values[k] = _voronoi_value(p, k)
         else:
-            s = 0
-            for j in range(1, p):
-                if floor2[j]:
-                    s += jpow[j]
-            s %= p
+            s = sum(jpow) % p
             values[k] = k * pow(2, k - 1, p) * mod_inv(pow(2, k, p) - 1, p) * s % p
-        if k + 2 <= p - 3:
-            jpow = [jpow[j] * jsq[j] % p for j in range(p)]
+        jpow = [a * b % p for a, b in zip(jpow, jsq)]
     return BernoulliRow(p, values, METHOD_VORONOI)
 
 

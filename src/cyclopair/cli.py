@@ -33,9 +33,6 @@ from .modmath import MODULUS_LIMIT
 
 CACHE_ENV_VAR = "CYCLOPAIR_CACHE_DIR"
 
-# fast rows are cross-checked against the reference recurrence up to here
-CROSS_CHECK_BOUND = 200
-
 
 def _prime_arg(p: int) -> int:
     """The positional p: an odd prime with even indices in [2, p-3]."""
@@ -58,12 +55,17 @@ def _cache_from(args):
     return IrregularCache(directory)
 
 
-def _sweep(args):
-    """The irregular sweep below --max-p with the --jobs and cache options."""
+def _check_sweep_options(args) -> None:
+    """--jobs and --max-p, on every route of a sweeping command."""
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_p > MODULUS_LIMIT:  # past the primality test; the sieve allocates max_p bytes
         raise InputError(f"--max-p must be at most 2^31 = {MODULUS_LIMIT}, got {args.max_p}")
+
+
+def _sweep(args):
+    """The irregular sweep below --max-p with the --jobs and cache options."""
+    _check_sweep_options(args)
     return irregular_sweep(args.max_p, jobs=args.jobs, cache=_cache_from(args))
 
 
@@ -96,15 +98,6 @@ def _flags_for(args):
     return flags_for
 
 
-def _cross_checked_row(p: int, method: str):
-    row = bernoulli_row(p, method)
-    if method == METHOD_FAST and p <= CROSS_CHECK_BOUND:
-        reference = bernoulli_row(p, METHOD_NAIVE)
-        if row.values != reference.values:
-            raise RuntimeError(f"fast row disagrees with the recurrence at p={p}")
-    return row
-
-
 def _cmd_bern(args) -> int:
     p = _prime_arg(args.p)
     if args.k is not None:
@@ -114,10 +107,10 @@ def _cmd_bern(args) -> int:
         if args.method == METHOD_VORONOI:
             value = bernoulli_voronoi(p, k)
         else:
-            value = _cross_checked_row(p, args.method).values[k]
+            value = bernoulli_row(p, args.method).values[k]
         sys.stdout.write(f"{k}\t{value}\n")
         return 0
-    row = _cross_checked_row(p, args.method)
+    row = bernoulli_row(p, args.method)
     for k in sorted(row.values):
         sys.stdout.write(f"{k}\t{row.values[k]}\n")
     return 0
@@ -135,6 +128,7 @@ def _cmd_irregular(args) -> int:
 
 
 def _cmd_congruence_sweep(args) -> int:
+    _check_sweep_options(args)  # before --source is read, which skips the sweep
     from .eigenstructure import congruence_sweep
 
     if args.source:

@@ -37,7 +37,7 @@ def check_congruences(irr: IrregularSet) -> CongruenceCheckResult:
         by_sum.setdefault((pr[0] + pr[1]) % m, []).append(pr)
     collisions = tuple(
         clash
-        for _, group in sorted(by_sum.items())
+        for group in by_sum.values()
         if len(group) > 1
         for clash in combinations(group, 2)
     )

@@ -370,6 +370,15 @@ def serialize_pairing_table(table: TableValues) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _seeded_values(p: int, keys: Iterable, zeros: set, seed: int) -> dict:
+    """0 at each key in zeros and a seeded draw from [1, p-1] at every other
+    key, drawn in the order of keys."""
+    import random  # only the test and benchmark tables draw numbers
+
+    rng = random.Random(seed)
+    return {key: 0 if key in zeros else rng.randrange(1, p) for key in keys}
+
+
 def synth_table(
     p: int,
     R: IrregularSet,
@@ -381,14 +390,8 @@ def synth_table(
     zeros = set(zero_keys)
     if bad := [(i, k) for i, k in zeros if not (i % 2 and 1 <= i <= p - 2 and k in R.indices)]:
         raise ValueError(f"zero_keys outside the table: {sorted(bad)}")
-    import random  # only the test and benchmark tables draw numbers
-
-    rng = random.Random(seed)
-    e_entries = {}
-    for i in range(1, p, 2):  # the odd i in [1, p-2]
-        for k in R.indices:
-            e_entries[(i, k)] = 0 if (i, k) in zeros else rng.randrange(1, p)
-    return TableValues(p, {}, e_entries)
+    keys = ((i, k) for i in range(1, p, 2) for k in R.indices)  # the odd i in [1, p-2]
+    return TableValues(p, {}, _seeded_values(p, keys, zeros, seed))
 
 
 def synth_b_table(
@@ -402,10 +405,4 @@ def synth_b_table(
     pairs = list(combinations(R.indices, 2))  # each k < k', in order
     if not zeros <= set(pairs):
         raise ValueError(f"zero_pairs outside the table: {sorted(zeros - set(pairs))}")
-    import random  # only the test and benchmark tables draw numbers
-
-    rng = random.Random(seed)
-    b_entries = {
-        pair: 0 if pair in zeros else rng.randrange(1, p) for pair in pairs
-    }
-    return TableValues(p, b_entries, {})
+    return TableValues(p, _seeded_values(p, pairs, zeros, seed), {})

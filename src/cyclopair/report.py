@@ -83,11 +83,7 @@ class Report(NamedTuple):
             },
             "greenberg": self.greenberg.status,
             "gk": self.gk.status,
-            "flags": {
-                "vandiver": self.flags.vandiver,
-                "procyclic": self.flags.procyclic,
-                "pairing_surjective": self.flags.pairing_surjective,
-            },
+            "flags": self.flags._asdict(),
             "version": __version__,
             "table_digest": self.digest,
         }

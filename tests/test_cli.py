@@ -229,6 +229,26 @@ def test_bern_p5_row():
         assert res.stdout == b"2\t1\n"
 
 
+def test_bern_takes_one_route(monkeypatch, capsys):
+    # the default method prints the fast row alone: with the recurrence
+    # disabled, each run prints what an unpatched run does
+    runs = (["bern", "37"], ["bern", "199"], ["bern", "199", "--k", "2"])
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(p):
+        raise AssertionError(f"the recurrence ran at p = {p}")
+
+    monkeypatch.setitem(bernoulli._ROW_METHODS, bernoulli.METHOD_NAIVE, refuse)
+    for argv, out in zip(runs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert cli.main(["bern", "37", "--method", "naive"]) == 1  # an internal error
+    assert "the recurrence ran at p = 37" in capsys.readouterr().err
+
+
 def test_irregular_40():
     res = run_cli("irregular", "--max-p", 40)
     assert res.returncode == 0
@@ -510,6 +530,11 @@ def test_usage_error_exits_2():
                  id="congruence-sweep-max-p"),
     pytest.param(["report", "--max-p", "4000000000", "--pairing", "/dev/null"], "--max-p",
                  id="report-max-p"),
+    # --source skips the sweep, not the checks of the options it shares
+    pytest.param(["congruence-sweep", "--max-p", "40", "--source", "/dev/null", "--jobs", "0"],
+                 "--jobs", id="congruence-sweep-source-jobs"),
+    pytest.param(["congruence-sweep", "--max-p", str(2**31 + 1), "--source", "/dev/null"],
+                 "--max-p", id="congruence-sweep-source-max-p"),
     # primes above 2^31 that the primality test still decides
     pytest.param(["bern", "2147483659"], "at most 2^31", id="bern-p-above-2^31"),
     pytest.param(["criteria", "2147483659", "--pairing", "/dev/null"], "at most 2^31",
