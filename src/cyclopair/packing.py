@@ -330,27 +330,25 @@ def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, in
     ``nodes`` counts one per include branch, exclude branch and component.
 
     One loop runs the search over a stack of frames (mask, dirty, conn,
-    cur_n, cur_mask), seeded with the whole mask.  A
-    branching goes on into its include side and pushes its exclude side.  A
-    split pushes a join frame (dirty None) for the rest of the mask under
-    the component's root; the join adds the component's incumbent, the top
-    of ``bests``, to the rest.
+    cur_mask), seeded with the whole mask; a frame's count is
+    cur_mask.bit_count().  A branching goes on into its include side and
+    pushes its exclude side.  A split pushes a join frame (dirty None) for
+    the rest of the mask under the component's root; the join adds the
+    component's incumbent, the top of ``bests``, to the rest.
     """
     # no vertex can exceed the maximum degree of the whole graph
     max_deg = max(a.bit_count() for a in adj)
     greedy = _greedy_mask(mask, adj)
     # then one per open component
     bests = [greedy if greedy[0] > floor else (floor, 0)]
-    stack = [(mask, mask, 0, 0, 0)]
+    stack = [(mask, mask, 0, 0)]
     nodes = 0
     while stack:
         # invariant of a frame: no vertex of mask outside dirty is simplicial,
         # and conn is a connected set containing mask, or 0 if unknown
-        mask, dirty, conn, cur_n, cur_mask = stack.pop()
+        mask, dirty, conn, cur_mask = stack.pop()
         if dirty is None:
-            comp_n, comp_mask = bests.pop()
-            cur_n += comp_n
-            cur_mask |= comp_mask
+            cur_mask |= bests.pop()[1]
             dirty = 0
         else:
             nodes += 1
@@ -372,7 +370,6 @@ def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, in
                             break
                         w ^= wb
                     else:
-                        cur_n += 1
                         cur_mask |= b
                         mask &= ~(b | nb)
                         touched = _neighbours(adj, nb) & mask
@@ -380,10 +377,10 @@ def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, in
                         rem = (rem | touched & -(b << 1)) & mask
             best_n = bests[-1][0]
             if mask == 0:
-                if cur_n > best_n:
-                    bests[-1] = cur_n, cur_mask
+                if cur_mask.bit_count() > best_n:
+                    bests[-1] = cur_mask.bit_count(), cur_mask
                 break
-            if _cover_bound(mask, adj, best_n - cur_n):
+            if _cover_bound(mask, adj, best_n - cur_mask.bit_count()):
                 break
             if conn and _still_connected(adj, mask, conn & ~mask):
                 comp = mask
@@ -391,8 +388,8 @@ def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, in
                 comp = _reach(adj, mask, mask & -mask, mask)
             if comp != mask:
                 # neighbourhoods inside and outside the component are unchanged
-                stack.append((mask ^ comp, None, 0, cur_n, cur_mask))
-                stack.append((comp, 0, comp, 0, 0))
+                stack.append((mask ^ comp, None, 0, cur_mask))
+                stack.append((comp, 0, comp, 0))
                 bests.append(_greedy_mask(comp, adj))
                 break
             # branch on the first vertex of maximum degree: push the exclude
@@ -408,10 +405,9 @@ def _solve_mask(adj: list[int], mask: int, floor: int = 0) -> tuple[int, int, in
                     if d == max_deg:
                         break
             nbrs = adj[vb.bit_length()] & mask
-            stack.append((mask ^ vb, nbrs, mask, cur_n, cur_mask))
+            stack.append((mask ^ vb, nbrs, mask, cur_mask))
             sub = mask & ~(vb | nbrs)
             mask, dirty, conn = sub, _neighbours(adj, nbrs) & sub, mask
-            cur_n += 1
             cur_mask |= vb
             nodes += 1
     return *bests[0], nodes
