@@ -233,16 +233,25 @@ def _sweep_worker(p: int) -> tuple[int, tuple[int, ...]]:
     return p, irregular_indices(p).indices
 
 
-def _serve(fn: Callable, stripe: list, res_w: int, inherited) -> None:
-    """A forked child's whole life: fn over its stripe of the items, then
-    the marshalled results into its result pipe.  Leaves through os._exit,
-    so no buffer or exit handler of the parent runs here; never returns."""
+_RECORD = 4  # bytes per task record: an item's index, little-endian
+_BATCH = 512  # bytes per task-pipe write: POSIX's least PIPE_BUF, so each lands whole
+
+
+def _serve(fn: Callable, items: list, task_r: int, res_w: int, inherited) -> None:
+    """A forked child's whole life: fn over the items whose indices it reads
+    from the task pipe, then the marshalled results into its result pipe.
+    Leaves through os._exit, so no buffer or exit handler of the parent runs
+    here; never returns."""
     status = 1
     try:
-        for fd in inherited:  # the other children's result pipe ends
+        for fd in inherited:  # the other pipe ends: the task pipe's must close for EOF
             os.close(fd)
+        results = []
+        # the pipe only ever holds whole records, so each read takes exactly one
+        while record := os.read(task_r, _RECORD):
+            results.append(fn(items[int.from_bytes(record, "little")]))
         with open(res_w, "wb") as out:
-            out.write(marshal.dumps([fn(item) for item in stripe]))
+            out.write(marshal.dumps(results))
         status = 0
     except BaseException:
         # imported here, as only a failing child needs it
@@ -255,32 +264,50 @@ def _serve(fn: Callable, stripe: list, res_w: int, inherited) -> None:
 
 
 def _forked_map(fn: Callable, items: list, jobs: int) -> list:
-    """fn(item) for every item, in no set order, from c = min(jobs, len(items))
+    """fn(item) for every item, in no set order, from min(jobs, len(items))
     forked children; fn's results must be marshallable.
 
-    Child j computes the stripe items[j::c], so on a list sorted by cost
-    two stripes differ by at most one item's work.  It writes its results
-    to its own result pipe, which the parent reads to end of file before
-    reaping the child.  A child that fails prints its traceback and exits
-    1, and the parent raises RuntimeError, as it does when a pipe or a
-    child cannot be made; no child outlives the call on any path.
+    Once every child is forked, the parent writes each item's index into
+    one task pipe as a 4-byte record, in item order, and closes it.  A child
+    reads one record at a time until end of file, so whichever child is
+    free takes the next item (a make-style jobserver pipe).  It then writes
+    its results to its own result pipe, which the parent reads to end of
+    file before reaping the child.  A child that fails prints its traceback
+    and exits 1, and the parent raises RuntimeError, as it does when a pipe
+    or a child cannot be made; no child outlives the call on any path.
     """
     owned: set[int] = set()  # pipe ends still open in this process
+
+    def pipe() -> tuple[int, int]:
+        ends = os.pipe()
+        owned.update(ends)
+        return ends
+
+    def close(fd: int) -> None:
+        owned.discard(fd)
+        os.close(fd)
+
     live: dict[int, int] = {}  # pid -> read end of its result pipe
-    c = min(jobs, len(items))
     try:
         try:
-            for j in range(c):
-                res_r, res_w = os.pipe()
-                owned.update((res_r, res_w))
+            task_r, task_w = pipe()
+            for _ in range(min(jobs, len(items))):
+                res_r, res_w = pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, items[j::c], res_w, owned - {res_w})
+                    _serve(fn, items, task_r, res_w, owned - {task_r, res_w})
                 live[pid] = res_r
-                owned.discard(res_w)
-                os.close(res_w)
+                close(res_w)
         except OSError as exc:  # EAGAIN, EMFILE: the OS's limit, not bad input
             raise RuntimeError(f"could not start a worker: {exc}") from exc
+        close(task_r)
+        records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(items)))
+        try:
+            for start in range(0, len(records), _BATCH):
+                os.write(task_w, records[start:start + _BATCH])
+        except BrokenPipeError:
+            pass  # every child died before the last task: reaping them reports it
+        close(task_w)
         results = []
         for pid, res_r in list(live.items()):
             owned.discard(res_r)
@@ -314,9 +341,8 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
 
     With ``jobs`` > 1 and more than one prime left to compute, the primes
     go to up to ``jobs`` children forked by ``_forked_map`` (POSIX
-    ``os.fork``), each of which computes a fixed stripe of them; as a
-    prime's cost rises smoothly with p, the stripes of the ascending list
-    take about equal time.  Otherwise they run in this process.  A failing
+    ``os.fork``), largest first, and each free child takes the next one
+    from a shared pipe; otherwise they run in this process.  A failing
     child makes the sweep raise RuntimeError and leaves the cache unwritten.
     """
     if jobs < 1:
@@ -330,7 +356,9 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
         if min(jobs, len(todo)) == 1:  # one child would only add a fork
             computed = [_sweep_worker(p) for p in todo]
         else:
-            computed = _forked_map(_sweep_worker, todo, jobs)
+            # largest (slowest) primes first, so no long task is left for
+            # the end while the other workers idle; known restores the order
+            computed = _forked_map(_sweep_worker, todo[::-1], jobs)
         known.update(computed)
         if cache is not None:
             cache.store(known)
