@@ -24,9 +24,8 @@ def decimal_int(field: str) -> int:
 
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in [
-    ("bernoulli", ["BernoulliRow", "IrregularSet", "bernoulli_fast_row",
-                   "bernoulli_naive_row", "bernoulli_voronoi", "irregular_indices",
-                   "irregular_sweep"]),
+    ("bernoulli", ["IrregularSet", "bernoulli_fast_row", "bernoulli_naive_row",
+                   "bernoulli_voronoi", "irregular_indices", "irregular_sweep"]),
     ("criteria", ["HeightBound", "HypothesisFlags", "Verdict", "gk_verdict",
                   "greenberg_verdict", "height_lower_bound"]),
     ("eigenstructure", ["CongruenceCheckResult", "check_congruences", "congruence_sweep"]),

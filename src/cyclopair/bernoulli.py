@@ -34,21 +34,13 @@ the convolution, without scaling it into B_k.
 
 import marshal
 import os
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
 
 METHOD_NAIVE = "naive"
 METHOD_VORONOI = "voronoi"
 METHOD_FAST = "fast"
-
-
-class BernoulliRow(NamedTuple):
-    """B_k mod p for every even k with 2 <= k <= p-3."""
-
-    p: int
-    values: Mapping[int, int]
-    method: str
 
 
 class _IrregularFields(NamedTuple):
@@ -80,8 +72,9 @@ def _check_row_prime(p: int) -> None:
         raise ValueError("p = 3 has no even indices in [2, p-3]")
 
 
-def bernoulli_naive_row(p: int) -> BernoulliRow:
-    """Reference row via the binomial recurrence, all arithmetic in Z/p."""
+def bernoulli_naive_row(p: int) -> dict[int, int]:
+    """Reference row {k: B_k mod p} for every even k with 2 <= k <= p-3,
+    via the binomial recurrence, all arithmetic in Z/p."""
     _check_row_prime(p)
     top = p - 3
     B = [0] * (top + 1)
@@ -98,7 +91,7 @@ def bernoulli_naive_row(p: int) -> BernoulliRow:
                 s = (s + binom[j] * B[j]) % p
         # C(m+1, m) = m+1 < p, hence invertible
         B[m] = -s * mod_inv(m + 1, p) % p
-    return BernoulliRow(p, {k: B[k] for k in range(2, p - 2, 2)}, METHOD_NAIVE)
+    return {k: B[k] for k in range(2, p - 2, 2)}
 
 
 def _voronoi_base(p: int, k: int) -> int:
@@ -127,7 +120,7 @@ def bernoulli_voronoi(p: int, k: int) -> int:
     return _voronoi_value(p, k)
 
 
-def bernoulli_voronoi_row(p: int) -> BernoulliRow:
+def bernoulli_voronoi_row(p: int) -> dict[int, int]:
     """All even k at once, sharing the power table across k.  With t = 2,
     floor(2j/p) is 1 exactly for j >= (p+1)/2 and 0 below, so the sum runs
     over that upper half only."""
@@ -143,7 +136,7 @@ def bernoulli_voronoi_row(p: int) -> BernoulliRow:
             s = sum(jpow) % p
             values[k] = k * pow(2, k - 1, p) * mod_inv(pow(2, k, p) - 1, p) * s % p
         jpow = [a * b % p for a, b in zip(jpow, jsq)]
-    return BernoulliRow(p, values, METHOD_VORONOI)
+    return values
 
 
 def _square_powers(b: int, n: int, t: int, p: int) -> list[int]:
@@ -178,7 +171,7 @@ def _voronoi_sums(p: int) -> tuple[int, list[int], list[int]]:
     return g, z_inv, sums
 
 
-def bernoulli_fast_row(p: int) -> BernoulliRow:
+def bernoulli_fast_row(p: int) -> dict[int, int]:
     """Same contents as the naive row from one convolution (see module doc)."""
     g, z_inv, sums = _voronoi_sums(p)
     size = len(sums)
@@ -194,7 +187,7 @@ def bernoulli_fast_row(p: int) -> BernoulliRow:
     for m in range(size - 1, -1, -1):
         num[m] = num[m] * inv * prefix[m] % p
         inv = inv * den[m] % p
-    return BernoulliRow(p, {2 * m + 2: num[m] for m in range(size)}, METHOD_FAST)
+    return {2 * m + 2: num[m] for m in range(size)}
 
 
 _ROW_METHODS = {
@@ -204,7 +197,7 @@ _ROW_METHODS = {
 }
 
 
-def bernoulli_row(p: int, method: str = METHOD_FAST) -> BernoulliRow:
+def bernoulli_row(p: int, method: str = METHOD_FAST) -> dict[int, int]:
     try:
         fn = _ROW_METHODS[method]
     except KeyError:
@@ -348,9 +341,7 @@ def irregular_sweep(p_max: int, jobs: int = 1, cache=None) -> Iterator[Irregular
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     primes = [p for p in _sieve_primes(p_max) if p >= 7]
-    known: dict[int, tuple[int, ...]] = {}
-    if cache is not None:
-        known = dict(cache.load())
+    known: dict[int, tuple[int, ...]] = {} if cache is None else cache.load()
     todo = [p for p in primes if p not in known]
     if todo:
         if min(jobs, len(todo)) == 1:  # one child would only add a fork

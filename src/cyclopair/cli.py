@@ -107,12 +107,12 @@ def _cmd_bern(args) -> int:
         if args.method == METHOD_VORONOI:
             value = bernoulli_voronoi(p, k)
         else:
-            value = bernoulli_row(p, args.method).values[k]
+            value = bernoulli_row(p, args.method)[k]
         sys.stdout.write(f"{k}\t{value}\n")
         return 0
     row = bernoulli_row(p, args.method)
-    for k in sorted(row.values):
-        sys.stdout.write(f"{k}\t{row.values[k]}\n")
+    for k in sorted(row):
+        sys.stdout.write(f"{k}\t{row[k]}\n")
     return 0
 
 

@@ -104,7 +104,7 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     # bound n (p-1)^2 < 2^64 that sized the slots, and no carry crosses one.
     # array('Q') and strided byte copies do the per-coefficient work in C.
     n = len(u)
-    prod = _pack_slots(u, p, width) * _pack_slots(v, p, width)
+    prod = _pack_slots(u, width) * _pack_slots(v, width)
     bits = 8 * width * n
     folded = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(width * n, "little")
     words = bytearray(8 * n)
@@ -116,9 +116,9 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     return [c % p for c in raw]
 
 
-def _pack_slots(coeffs: list[int], p: int, width: int) -> int:
+def _pack_slots(coeffs: list[int], width: int) -> int:
     # the low width bytes of each little-endian 64-bit word, back to back
-    words = array("Q", [c % p for c in coeffs])
+    words = array("Q", coeffs)
     if _BIG_ENDIAN:
         words.byteswap()
     raw = words.tobytes()
@@ -142,8 +142,8 @@ def _convolution_decimal(u: list[int], v: list[int], p: int, width: int) -> list
     # result too long for prec would raise, not round.
     n = len(u)
     slot = f"%0{width}d"
-    a = Decimal(slot * n % tuple([c % p for c in reversed(u)]))
-    b = Decimal(slot * n % tuple([c % p for c in reversed(v)]))
+    a = Decimal(slot * n % tuple(reversed(u)))
+    b = Decimal(slot * n % tuple(reversed(v)))
     ctx = Context(prec=(2 * n - 1) * width, Emax=MAX_EMAX, traps=[Inexact, Rounded])
     digits = str(ctx.multiply(a, b)).zfill((2 * n - 1) * width)
     split = (n - 1) * width
@@ -158,9 +158,10 @@ def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
     """Cyclic convolution mod p of two sequences of one length n:
     c_m = sum of u_i v_j over i + j == m (mod n), for m < n.
 
-    Bit-exact with that double sum on every input, unreduced and negative
-    ones included; the Kronecker and decimal products only compute it
-    faster.  Raises ValueError unless u and v are nonempty of equal length.
+    u, v and the result are residues, ints in [0, p); on those it is
+    bit-exact with that double sum, and the Kronecker and decimal products
+    only compute it faster.  Raises ValueError unless u and v are nonempty
+    of equal length.
     """
     n = len(u)
     if n == 0 or len(v) != n:

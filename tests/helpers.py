@@ -3,9 +3,9 @@
 from cyclopair.pairing import PairingTable, parse_pairing_file, serialize_pairing_table
 
 
-def zero_indices(row) -> tuple[int, ...]:
-    """The even k with B_k == 0 mod p in a BernoulliRow, ascending."""
-    return tuple(sorted(k for k, v in row.values.items() if v == 0))
+def zero_indices(row: dict[int, int]) -> tuple[int, ...]:
+    """The even k with B_k == 0 mod p in a row {k: B_k mod p}, ascending."""
+    return tuple(sorted(k for k, v in row.items() if v == 0))
 
 
 def parsed(irr, rows) -> PairingTable:

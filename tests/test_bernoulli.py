@@ -11,7 +11,6 @@ import pytest
 
 from cyclopair import __version__, bernoulli, cli, modmath
 from cyclopair.bernoulli import (
-    BernoulliRow,
     IrregularSet,
     _voronoi_value,
     bernoulli_fast_row,
@@ -38,22 +37,22 @@ def reduce_mod(f: Fraction, p: int) -> int:
 
 
 def test_naive_p7():
-    assert bernoulli_naive_row(7).values == {2: 6, 4: 3}
+    assert bernoulli_naive_row(7) == {2: 6, 4: 3}
 
 
 def test_naive_p11_regular_and_rational():
     row = bernoulli_naive_row(11)
-    assert row.values[2] == 2  # 1/6 mod 11
-    assert 0 not in row.values.values()
+    assert row[2] == 2  # 1/6 mod 11
+    assert 0 not in row.values()
     for k, f in EXACT.items():
-        assert row.values[k] == reduce_mod(f, 11)
+        assert row[k] == reduce_mod(f, 11)
 
 
 def test_rationality_spot_check():
     for p in (11, 13, 17, 19, 23, 31, 43, 61):
         row = bernoulli_naive_row(p)
         for k, f in EXACT.items():
-            assert row.values[k] == reduce_mod(f, p)
+            assert row[k] == reduce_mod(f, p)
 
 
 def test_naive_p37_unique_zero():
@@ -63,9 +62,9 @@ def test_naive_p37_unique_zero():
 
 def test_row_degenerate_primes():
     # B_2 = 1/6 == 1 mod 5: the rows start at p = 5, where every method agrees
-    assert bernoulli_naive_row(5).values == {2: 1}
-    assert bernoulli_fast_row(5).values == {2: 1}
-    assert bernoulli_voronoi_row(5).values == {2: 1}
+    assert bernoulli_naive_row(5) == {2: 1}
+    assert bernoulli_fast_row(5) == {2: 1}
+    assert bernoulli_voronoi_row(5) == {2: 1}
     with pytest.raises(ValueError):
         bernoulli_naive_row(3)
     with pytest.raises(ValueError):
@@ -87,26 +86,26 @@ def test_voronoi_rejects_bad_k():
 def test_voronoi_base_fallback():
     # ord(2) divides 8 mod 17, so k = 8 forces a base > 2
     assert pow(2, 8, 17) == 1
-    assert bernoulli_voronoi(17, 8) == bernoulli_naive_row(17).values[8]
+    assert bernoulli_voronoi(17, 8) == bernoulli_naive_row(17)[8]
 
 
 def test_rows_agree_small():
     for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 53, 59):
         naive = bernoulli_naive_row(p)
-        assert bernoulli_fast_row(p).values == naive.values
-        assert bernoulli_voronoi_row(p).values == naive.values
+        assert bernoulli_fast_row(p) == naive
+        assert bernoulli_voronoi_row(p) == naive
 
 
 def test_voronoi_row_matches_per_k():
     for p in (13, 37, 101):
         row = bernoulli_voronoi_row(p)
-        for k in row.values:
-            assert bernoulli_voronoi(p, k) == row.values[k]
+        for k in row:
+            assert bernoulli_voronoi(p, k) == row[k]
 
 
 def test_fast_matches_voronoi_p1009():
     # n = 504 takes the Kronecker product, and n even needs no twist
-    assert bernoulli_fast_row(1009).values == bernoulli_voronoi_row(1009).values
+    assert bernoulli_fast_row(1009) == bernoulli_voronoi_row(1009)
 
 
 def test_fast_matches_voronoi_200_to_500():
@@ -116,7 +115,7 @@ def test_fast_matches_voronoi_200_to_500():
     assert {p % 4 for p in primes} == {1, 3}
     assert [primitive_root(p) for p in (311, 409, 439, 457, 479)] == [17, 21, 15, 13, 13]
     for p in primes:
-        assert bernoulli_fast_row(p).values == bernoulli_voronoi_row(p).values, p
+        assert bernoulli_fast_row(p) == bernoulli_voronoi_row(p), p
 
 
 def test_fast_matches_voronoi_p5881():
@@ -124,17 +123,17 @@ def test_fast_matches_voronoi_p5881():
     assert primitive_root(5881) == 31
     row = bernoulli_fast_row(5881)
     for k in (2, 4, 1000, 2940, 4402, 5878):
-        assert row.values[k] == bernoulli_voronoi(5881, k), k
+        assert row[k] == bernoulli_voronoi(5881, k), k
 
 
 def test_fast_p101():
-    assert bernoulli_fast_row(101).values[68] == 0
+    assert bernoulli_fast_row(101)[68] == 0
 
 
 def test_fast_p9829_paper_indices():
     row = bernoulli_fast_row(9829)
-    assert row.values[4562] == 0
-    assert row.values[7548] == 0
+    assert row[4562] == 0
+    assert row[7548] == 0
 
 
 def test_sweep_zeros_match_fast_row_below_3500():
@@ -160,6 +159,27 @@ def test_sweep_zeros_match_voronoi_above_10000(p, indices):
         assert bernoulli_voronoi(p, k) != 0, k
 
 
+def test_voronoi_sums_hand_the_product_residues(monkeypatch):
+    # convolution_mod takes residues and does not reduce them again, so
+    # every operand its callers build must already lie in [0, p)
+    seen = []
+    real = bernoulli.convolution_mod
+
+    def spy(u, v, p):
+        seen.append(p)
+        assert type(u) is list and type(v) is list
+        assert len(u) == len(v) == (p - 1) // 2
+        assert all(type(c) is int and 0 <= c < p for c in u + v), p
+        return real(u, v, p)
+
+    monkeypatch.setattr(bernoulli, "convolution_mod", spy)
+    list(irregular_sweep(3000))  # in this process: the Kronecker path
+    assert (10601 - 1) // 2 == modmath._DECIMAL_CUTOFF
+    irregular_indices(10601)  # the decimal path
+    bernoulli_fast_row(1217)
+    assert seen == [p for p in range(7, 3000) if is_prime(p)] + [10601, 1217]
+
+
 @pytest.mark.parametrize("p, path", [
     (1019, "_convolution_kronecker"),  # n = 509
     (10663, "_convolution_decimal"),   # n = 5331, R = {9430, 9788}
@@ -180,12 +200,12 @@ def test_fast_matches_voronoi_odd_n(monkeypatch, p, path):
     row = bernoulli_fast_row(p)
     assert taken == [path]
     if p < 2000:
-        assert row.values == bernoulli_voronoi_row(p).values
+        assert row == bernoulli_voronoi_row(p)
         return
     assert zero_indices(row) == (9430, 9788)
     rng = random.Random(p)
     for k in [2, 4, p - 5, p - 3] + rng.sample(range(6, p - 5, 2), 20):
-        assert row.values[k] == bernoulli_voronoi(p, k), k
+        assert row[k] == bernoulli_voronoi(p, k), k
 
 
 def test_fast_row_p24989_converts_no_long_int_to_str():
@@ -197,24 +217,24 @@ def test_fast_row_p24989_converts_no_long_int_to_str():
         row = bernoulli_fast_row(24989)
     finally:
         sys.set_int_max_str_digits(old)
-    assert len(row.values) == 12493
+    assert len(row) == 12493
     for k in (2, 4, 12492, 24986):
-        assert row.values[k] == bernoulli_voronoi(24989, k), k
+        assert row[k] == bernoulli_voronoi(24989, k), k
 
 
 def test_bernoulli_row_dispatch():
-    assert bernoulli_row(7, "naive").values == bernoulli_row(7, "fast").values
+    assert bernoulli_row(7, "naive") == bernoulli_row(7, "fast")
     with pytest.raises(ValueError):
         bernoulli_row(7, "magic")
 
 
-def kummer_pairs(row: BernoulliRow, shift: int = 1):
+def kummer_pairs(p: int, row: dict[int, int], shift: int = 1):
     """Cross-check data for the Kummer congruence B_k/k == B_k'/k' mod p
-    with k' = k + shift*(p-1); yields (k, lhs, rhs)."""
-    p = row.p
-    for k in sorted(row.values):
+    with k' = k + shift*(p-1), for the row {k: B_k mod p}; yields
+    (k, lhs, rhs)."""
+    for k in sorted(row):
         k2 = k + shift * (p - 1)
-        lhs = row.values[k] * mod_inv(k, p) % p
+        lhs = row[k] * mod_inv(k, p) % p
         rhs = _voronoi_value(p, k2) * mod_inv(k2, p) % p
         yield k, lhs, rhs
 
@@ -223,7 +243,7 @@ def test_kummer_congruence_smoke():
     # B_k / k == B_{k + (p-1)} / (k + (p-1)) mod p
     for p in (11, 37, 101, 157, 199):
         row = bernoulli_fast_row(p)
-        for _, lhs, rhs in kummer_pairs(row):
+        for _, lhs, rhs in kummer_pairs(p, row):
             assert lhs == rhs
 
 

@@ -102,9 +102,8 @@ def test_sweeps_load_no_module_they_do_not_use(argv):
 # What the package root has re-exported since before its names loaded lazily,
 # by defining module.
 _PUBLIC_NAMES = {
-    "bernoulli": ["BernoulliRow", "IrregularSet", "bernoulli_fast_row",
-                  "bernoulli_naive_row", "bernoulli_voronoi", "irregular_indices",
-                  "irregular_sweep"],
+    "bernoulli": ["IrregularSet", "bernoulli_fast_row", "bernoulli_naive_row",
+                  "bernoulli_voronoi", "irregular_indices", "irregular_sweep"],
     "criteria": ["HeightBound", "HypothesisFlags", "Verdict", "gk_verdict",
                  "greenberg_verdict", "height_lower_bound"],
     "eigenstructure": ["CongruenceCheckResult", "check_congruences", "congruence_sweep"],

