@@ -59,7 +59,7 @@ def _check_sweep_options(args) -> None:
     """--jobs and --max-p, on every route of a sweeping command."""
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_p > MODULUS_LIMIT:  # past the primality test; the sieve allocates max_p bytes
+    if args.max_p > MODULUS_LIMIT:  # the sieve allocates max_p bytes
         raise InputError(f"--max-p must be at most 2^31 = {MODULUS_LIMIT}, got {args.max_p}")
 
 
@@ -137,7 +137,9 @@ def _cmd_congruence_sweep(args) -> int:
         raw = _read_input(args.source)
         try:
             entries = read_entries(raw.decode("utf-8").splitlines(), args.source)
-        except ValueError as exc:  # a bad line, or bytes that are not UTF-8
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.source}: not UTF-8 text: {exc}") from None
+        except ValueError as exc:  # a bad line
             raise InputError(str(exc)) from None
         source = [IrregularSet(p, ks) for p, ks in entries.items()]
     else:

@@ -280,6 +280,27 @@ def test_irregular_cache_reuse(tmp_path):
     assert cache_file.read_text() == before
 
 
+def test_irregular_cache_from_the_environment(tmp_path):
+    env = {**os.environ, cli.CACHE_ENV_VAR: str(tmp_path / "env")}
+    res = run_cli("irregular", "--max-p", 100, env=env)
+    assert res.returncode == 0
+    assert (tmp_path / "env" / "irregular.tsv").exists()
+
+
+def test_irregular_cache_option_overrides_the_environment(tmp_path):
+    env = {**os.environ, cli.CACHE_ENV_VAR: str(tmp_path / "env")}
+    res = run_cli("irregular", "--max-p", 100, "--cache", tmp_path / "opt", env=env)
+    assert res.returncode == 0
+    assert (tmp_path / "opt" / "irregular.tsv").exists()
+    assert not (tmp_path / "env").exists()
+
+
+def test_version():
+    res = run_cli("--version")
+    assert res.returncode == 0
+    assert res.stdout == b"0.1.0\n"
+
+
 def test_irregular_cache_corruption_warns(tmp_path):
     run_cli("irregular", "--max-p", 60, "--cache", tmp_path)
     (tmp_path / "irregular.tsv").write_text("broken\tdata\tcache\n")
@@ -556,8 +577,19 @@ def test_undecodable_inputs_exit_2(tmp_path, capsys):
     binary = tmp_path / "binary.tsv"
     binary.write_bytes(b"13\t4,10\n\xff\xfe\n")
     assert cli.main(["congruence-sweep", "--max-p", "100", "--source", str(binary)]) == 2
+    assert capsys.readouterr().err == (
+        f"cyclopair: error: {binary}: not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 8: invalid start byte\n"
+    )
+    # the pairing reader reports the first bad line in file order
     assert cli.main(["criteria", "37", "--pairing", str(binary)]) == 2
-    assert capsys.readouterr().err.count("cyclopair: error: ") == 2
+    assert capsys.readouterr().err == "cyclopair: error: line 1: expected 5 fields, got 2\n"
+    binary.write_bytes(b"# a comment\n\xff\xfe\n")
+    assert cli.main(["criteria", "37", "--pairing", str(binary)]) == 2
+    assert capsys.readouterr().err == (
+        "cyclopair: error: not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 12: invalid start byte\n"
+    )
 
 
 def test_internal_value_error_exits_1(monkeypatch, capsys):

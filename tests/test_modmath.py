@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclopair import modmath
+from cyclopair.bernoulli import _sieve_primes
 from cyclopair.modmath import (
     _DECIMAL_CUTOFF,
     _convolution_decimal,
@@ -31,6 +32,18 @@ def test_is_prime_carmichael_and_large():
     assert is_prime(2_147_483_647)  # 2^31 - 1
     assert not is_prime(2_147_483_649)  # 3 * 715827883
     with pytest.raises(ValueError):
+        is_prime(3_215_031_751)
+
+
+def test_is_prime_matches_the_sieve():
+    primes = set(_sieve_primes(30_000))
+    for n in range(30_000):
+        assert is_prime(n) == (n in primes), n
+
+
+def test_is_prime_up_to_its_cap():
+    assert is_prime(3_215_031_749)  # the largest prime below the cap
+    with pytest.raises(ValueError, match="^primality test not supported for n >= 3215031751$"):
         is_prime(3_215_031_751)
 
 
