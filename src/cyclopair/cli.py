@@ -38,10 +38,8 @@ def _prime_arg(p: int) -> int:
     """The positional p: an odd prime with even indices in [2, p-3]."""
     try:
         _check_row_prime(p)
-    except ValueError as exc:  # not prime, p = 3, or beyond the primality test
+    except ValueError as exc:  # not an odd prime, p = 3, or above 2^31
         raise InputError(str(exc)) from None
-    if p > MODULUS_LIMIT:  # prime, but a row would hold about p / 2 entries
-        raise InputError(f"p must be at most 2^31 = {MODULUS_LIMIT}, got {p}")
     return p
 
 
@@ -172,13 +170,16 @@ def _write_reports(args, irregular_sets, fmt: str = "json") -> int:
     The table is opened first, so a bad path fails before a long sweep, and
     read in one streamed pass once the primes are known.
     """
-    from .pairing import PairingTable, read_blocks
+    from .pairing import PairingFormatError, PairingTable, read_blocks
     from .report import digest_of, sha256
 
     sha = sha256()
     with _open_input(args.pairing) as fh:
         sets = list(irregular_sets())
-        tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})
+        try:
+            tables = parse_pairing_file(read_blocks(fh, sha), {irr.p: irr for irr in sets})
+        except PairingFormatError as exc:  # named by the path as given, - for stdin
+            raise PairingFormatError(f"{args.pairing}: {exc}") from None
     digest, flags_for = digest_of(sha), _flags_for(args)
     for irr in sets:
         table = tables.get(irr.p) or PairingTable(irr.p)  # no rows: an empty table

@@ -7,10 +7,9 @@ into [0, m).
 import sys
 from array import array
 
-# is_prime refuses n from here on.  The cap bounds the trial division on any
-# p read from a file (sqrt(n) < 56,702, under 5 ms), and keeps the inputs
-# accepted and the message given the same as in earlier releases.
-_PRIME_LIMIT = 3_215_031_751
+# The one bound on p, checked by is_prime on every route that reads a p:
+# the sieve allocates --max-p bytes, a row holds (p - 3) / 2 entries, and
+# trial division stops below 46,341.
 MODULUS_LIMIT = 1 << 31
 
 # From this length on the decimal product beats the Kronecker one.  Cyclic
@@ -26,9 +25,9 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division, for n < 3,215,031,751."""
-    if n >= _PRIME_LIMIT:
-        raise ValueError(f"primality test not supported for n >= {_PRIME_LIMIT}")
+    """Primality by trial division, for n <= 2^31."""
+    if n > MODULUS_LIMIT:
+        raise ValueError(f"p must be at most 2^31 = {MODULUS_LIMIT}, got {n}")
     return n > 1 and factorize(n) == {n: 1}
 
 
@@ -47,7 +46,7 @@ def mod_inv(a: int, p: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; is_prime uses it below 3,215,031,751."""
+    """Prime factorization by trial division; is_prime uses it up to 2^31."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}

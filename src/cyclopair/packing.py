@@ -148,7 +148,6 @@ class PackingInstance(_InstanceFields):
 class PackingResult(NamedTuple):
     count: int
     witness: tuple[int, ...]
-    method: str
     nodes: int = 0  # search nodes of the exact solver; 0 for the others
 
 
@@ -177,7 +176,7 @@ def _finish(
         raise RuntimeError(f"{method} solver chose offsets outside the candidates")
     if not translates_disjoint(inst, witness):
         raise RuntimeError(f"{method} solver produced overlapping translates")
-    return PackingResult(len(witness), witness, method, nodes)
+    return PackingResult(len(witness), witness, nodes)
 
 
 def _circulant(inst: PackingInstance) -> tuple[int, int, int, list[int]]:
@@ -446,7 +445,7 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     ``nodes`` counts the search nodes.
     """
     if not inst.candidates:
-        return PackingResult(0, (), "exact")
+        return PackingResult(0, ())
     i0, t, mask, adj = _circulant(inst)
     if mask != (1 << len(adj) - 1) - 1:
         _, chosen, nodes = _solve_mask(adj, mask)

@@ -164,9 +164,9 @@ def test_acceptance_6_packing_solvers():
             failures.append(("greedy > exact", inst))
         if greedy.count < math.ceil(len(inst.candidates) / (r * r - r + 1)):
             failures.append(("greedy below counting bound", inst))
-        for res in (exact, brute, greedy):
+        for solver, res in (("exact", exact), ("brute", brute), ("greedy", greedy)):
             if not translates_disjoint(inst, res.witness):
-                failures.append(("invalid witness", res.method, inst))
+                failures.append(("invalid witness", solver, inst))
     elapsed = time.time() - start
     if elapsed >= 30:
         failures.append(("runtime", elapsed))

@@ -505,6 +505,7 @@ def test_cache_load_accepts_valid_file(tmp_path, capsys):
     ("37\t32\n", "no cache header"),
     (CACHE_HEADER + "39\t-\n", "39 is not a prime >= 7"),
     (CACHE_HEADER + "5\t-\n", "5 is not a prime >= 7"),
+    (CACHE_HEADER + "2147483659\t-\n", "at most 2^31"),
     (CACHE_HEADER + "37\n", "no tab after p"),
     (CACHE_HEADER + "157\t110,62\n", "not sorted, distinct and even"),
     (CACHE_HEADER + "157\t62,62\n", "not sorted, distinct and even"),

@@ -349,6 +349,7 @@ def test_congruence_sweep_injected_violation(tmp_path):
     pytest.param("+7\t-\n", 1, id="p-plus-sign"),
     pytest.param("13\t4,10\n\u0667\t-\n", 2, id="p-arabic-indic-digit"),
     pytest.param("37\t4, 10\n", 1, id="k-space"),
+    pytest.param("13\t4,10\n2147483659\t-\n", 2, id="p-above-2^31"),
 ])
 def test_congruence_sweep_source_rejects_bad_lines(tmp_path, text, bad_line):
     source = tmp_path / "source.tsv"
@@ -490,20 +491,23 @@ def test_pairing_rows_accept_ascii_digits_only(tmp_path, capsys, row, argv):
     assert err.startswith("cyclopair: error: ") and "line 2: " in err
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param("E\t1219\t1\t784\t5", id="typo-for-1217"),
-    pytest.param("E\t9\t1\t2\t3", id="odd-composite"),
-    pytest.param("E\t3215031751\t1\t2\t3", id="past-the-primality-test"),
+@pytest.mark.parametrize("row, message", [
+    pytest.param("E\t1219\t1\t784\t5", "1219 is not an odd prime", id="typo-for-1217"),
+    pytest.param("E\t9\t1\t2\t3", "9 is not an odd prime", id="odd-composite"),
+    pytest.param("E\t2147483649\t1\t2\t3", "p must be at most 2^31 = 2147483648, got 2147483649",
+                 id="composite-above-2^31"),
+    pytest.param("E\t2147483659\t1\t2\t3", "p must be at most 2^31 = 2147483648, got 2147483659",
+                 id="prime-above-2^31"),
 ])
 @pytest.mark.parametrize("argv", [["criteria", "1217"], ["report", "--max-p", "40"]],
                          ids=["criteria", "report"])
-def test_pairing_rows_of_a_non_prime_exit_2(tmp_path, capsys, row, argv):
-    # rows of primes outside the sweep are skipped, but not rows whose p is no prime
+def test_pairing_rows_of_a_non_prime_exit_2(tmp_path, capsys, row, message, argv):
+    # rows of primes outside the sweep are skipped, but not rows whose p is no
+    # prime or lies above the one bound on p
     table = tmp_path / "table.tsv"
     table.write_text("E\t1217\t1\t784\t5\nE\t37\t3\t32\t5\n" + row + "\n")
     assert cli.main([*argv, "--pairing", str(table)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("cyclopair: error: ") and "line 3: " in err
+    assert capsys.readouterr().err == f"cyclopair: error: {table}: line 3: {message}\n"
 
 
 def test_report_small_deterministic():
@@ -533,7 +537,8 @@ def test_usage_error_exits_2():
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["bern", "3"], "no even indices", id="p-3"),
-    pytest.param(["bern", "4000000007"], "not supported", id="p-beyond-primality-test"),
+    pytest.param(["bern", "4000000007"], "p must be at most 2^31 = 2147483648, got 4000000007",
+                 id="p-far-above-2^31"),
     pytest.param(["bern", "37", "--k", "31"], "k must be even", id="k-odd"),
     pytest.param(["bern", "37", "--k", "36", "--method", "voronoi"], "k must be even",
                  id="k-out-of-range-voronoi"),
@@ -543,8 +548,8 @@ def test_usage_error_exits_2():
     pytest.param(["irregular", "--max-p", "50", "--jobs", "0"], "--jobs", id="jobs"),
     pytest.param(["report", "--max-p", "50", "--jobs", "-1", "--pairing", "/dev/null"],
                  "--jobs", id="report-jobs"),
-    # above the primality test's range, rejected before the sieve allocates;
-    # never test a bound just below it, which would allocate gigabytes
+    # above 2^31, rejected before the sieve allocates; never test a bound
+    # just below it, which would allocate gigabytes
     pytest.param(["irregular", "--max-p", "4000000000"], "--max-p", id="irregular-max-p"),
     pytest.param(["congruence-sweep", "--max-p", str(2**31 + 1)], "--max-p",
                  id="congruence-sweep-max-p"),
@@ -555,7 +560,7 @@ def test_usage_error_exits_2():
                  "--jobs", id="congruence-sweep-source-jobs"),
     pytest.param(["congruence-sweep", "--max-p", str(2**31 + 1), "--source", "/dev/null"],
                  "--max-p", id="congruence-sweep-source-max-p"),
-    # primes above 2^31 that the primality test still decides
+    # primes just above 2^31, refused by the primality test's bound
     pytest.param(["bern", "2147483659"], "at most 2^31", id="bern-p-above-2^31"),
     pytest.param(["criteria", "2147483659", "--pairing", "/dev/null"], "at most 2^31",
                  id="criteria-p-above-2^31"),
@@ -573,7 +578,7 @@ def test_input_errors_exit_2(monkeypatch, capsys, argv, message):
     assert err.startswith("cyclopair: error: ") and message in err
 
 
-def test_undecodable_inputs_exit_2(tmp_path, capsys):
+def test_undecodable_inputs_exit_2(tmp_path, monkeypatch, capsys):
     binary = tmp_path / "binary.tsv"
     binary.write_bytes(b"13\t4,10\n\xff\xfe\n")
     assert cli.main(["congruence-sweep", "--max-p", "100", "--source", str(binary)]) == 2
@@ -583,11 +588,19 @@ def test_undecodable_inputs_exit_2(tmp_path, capsys):
     )
     # the pairing reader reports the first bad line in file order
     assert cli.main(["criteria", "37", "--pairing", str(binary)]) == 2
-    assert capsys.readouterr().err == "cyclopair: error: line 1: expected 5 fields, got 2\n"
+    assert capsys.readouterr().err == (
+        f"cyclopair: error: {binary}: line 1: expected 5 fields, got 2\n")
     binary.write_bytes(b"# a comment\n\xff\xfe\n")
     assert cli.main(["criteria", "37", "--pairing", str(binary)]) == 2
     assert capsys.readouterr().err == (
-        "cyclopair: error: not UTF-8 text: 'utf-8' codec can't decode "
+        f"cyclopair: error: {binary}: not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 12: invalid start byte\n"
+    )
+    # stdin is named as given
+    status, out = _main_with_stdin(monkeypatch, capsys, ["criteria", "37", "--pairing", "-"],
+                                   binary.read_bytes())
+    assert status == 2 and out.err == (
+        "cyclopair: error: -: not UTF-8 text: 'utf-8' codec can't decode "
         "byte 0xff in position 12: invalid start byte\n"
     )
 

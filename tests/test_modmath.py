@@ -30,9 +30,9 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(561)
     assert not is_prime(29341)
     assert is_prime(2_147_483_647)  # 2^31 - 1
-    assert not is_prime(2_147_483_649)  # 3 * 715827883
+    assert not is_prime(2_147_117_569)  # 46337^2, the last trial divisor's square
     with pytest.raises(ValueError):
-        is_prime(3_215_031_751)
+        is_prime(2_147_483_649)  # 3 * 715827883, above 2^31
 
 
 def test_is_prime_matches_the_sieve():
@@ -42,9 +42,9 @@ def test_is_prime_matches_the_sieve():
 
 
 def test_is_prime_up_to_its_cap():
-    assert is_prime(3_215_031_749)  # the largest prime below the cap
-    with pytest.raises(ValueError, match="^primality test not supported for n >= 3215031751$"):
-        is_prime(3_215_031_751)
+    assert not is_prime(2**31)  # the cap itself is decided
+    with pytest.raises(ValueError, match=r"^p must be at most 2\^31 = 2147483648, got 2147483659$"):
+        is_prime(2**31 + 11)  # the least prime above it
 
 
 def test_require_odd_prime():

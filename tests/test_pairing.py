@@ -154,7 +154,7 @@ def test_parse_checks_each_skipped_p_once(monkeypatch):
     (9, "line 2: 9 is not an odd prime"),
     (2, "line 2: 2 is not an odd prime"),
     (0, "line 2: 0 is not an odd prime"),
-    (3_215_031_751, "line 2: primality test not supported"),
+    (2_147_483_659, r"line 2: p must be at most 2\^31 = 2147483648, got 2147483659"),
 ])
 def test_parse_rejects_rows_of_a_non_prime(p, message):
     # rows of an odd prime outside the lookup are skipped; any other p is a typo

@@ -20,7 +20,7 @@ RECORDS = [
     IRR_37,
     CongruenceCheckResult(37, (), ()),
     PackingInstance(12, [2, 6], [1, 3, 5]),
-    PackingResult(1, (1,), "exact"),
+    PackingResult(1, (1,)),
     PairingTable(37),
     EligibleSet(37, 0b11, 0),
     FLAGS,
