@@ -96,24 +96,18 @@ def read_entries(
         if not line or line.startswith("#"):
             continue
         try:
-            p, ks = _parse_entry(line)
+            p_str, tab, k_str = line.partition("\t")
+            if not tab:
+                raise ValueError("no tab after p")
+            p = decimal_int(p_str)
+            if p < 7 or not is_prime(p):
+                raise ValueError(f"{p} is not a prime >= 7")
+            ks = () if k_str == "-" else tuple(decimal_int(k) for k in k_str.split(","))
+            if list(ks) != sorted(set(ks)) or any(k % 2 or not 2 <= k <= p - 3 for k in ks):
+                raise ValueError(f"indices are not sorted, distinct and even in [2, {p - 3}]")
             if p in entries:
                 raise ValueError(f"p = {p} listed twice")
         except ValueError as exc:
             raise ValueError(f"{where}:{lineno}: {exc}") from None
         entries[p] = ks
     return entries
-
-
-def _parse_entry(line: str) -> tuple[int, tuple[int, ...]]:
-    p_str, tab, k_str = line.partition("\t")
-    if not tab:
-        raise ValueError("no tab after p")
-    p = decimal_int(p_str)
-    if p < 7 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime >= 7")
-    ks = () if k_str == "-" else tuple(decimal_int(k) for k in k_str.split(","))
-    if list(ks) != sorted(set(ks)) or any(k % 2 or not 2 <= k <= p - 3 for k in ks):
-        raise ValueError(f"indices are not sorted, distinct and even in [2, {p - 3}]")
-    return p, ks
-

@@ -74,11 +74,6 @@ def _open_input(path: str):
     return open(path, "rb")
 
 
-def _read_input(path: str) -> bytes:
-    with _open_input(path) as fh:
-        return fh.read()
-
-
 def _flags_for(args):
     """The map p -> HypothesisFlags at p: its defaults, with each flag option
     that is not auto put over them."""
@@ -114,14 +109,10 @@ def _cmd_bern(args) -> int:
     return 0
 
 
-def _format_irregular(irr: IrregularSet) -> str:
-    return f"{irr.p}\t{','.join(map(str, irr.indices))}\n"
-
-
 def _cmd_irregular(args) -> int:
     for irr in _sweep(args):
         if irr.indices:
-            sys.stdout.write(_format_irregular(irr))
+            sys.stdout.write(f"{irr.p}\t{','.join(map(str, irr.indices))}\n")
     return 0
 
 
@@ -132,7 +123,8 @@ def _cmd_congruence_sweep(args) -> int:
     if args.source:
         from .cache import read_entries
 
-        raw = _read_input(args.source)
+        with _open_input(args.source) as fh:
+            raw = fh.read()
         try:
             entries = read_entries(raw.decode("utf-8").splitlines(), args.source)
         except UnicodeDecodeError as exc:

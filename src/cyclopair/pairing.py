@@ -119,9 +119,10 @@ def _masks(states_by_index: dict[int, bytearray]) -> tuple[dict, dict]:
 
 
 class _TableReader:
-    """Validates the rows of one prime.  E rows go into one state byte per
-    odd offset and k (0 absent, 1 nonzero, 2 zero), B rows, a few per
-    prime, straight into bitsets."""
+    """Validates the keys of one prime's rows, whose values the caller has
+    checked to lie in [0, p).  E rows go into one state byte per odd offset
+    and k (0 absent, 1 nonzero, 2 zero), B rows, a few per prime, straight
+    into bitsets."""
 
     __slots__ = ("p", "R", "e_states", "b")
 
@@ -131,15 +132,8 @@ class _TableReader:
         self.e_states: dict[int, bytearray] = {}
         self.b = Rows({}, {})  # k' -> bits of the offsets p - k
 
-    def _out_of_range(self, lineno: int, value: int) -> PairingFormatError:
-        return PairingFormatError(
-            f"line {lineno}: value {value} out of range [0, {self.p})"
-        )
-
     def add_e(self, lineno: int, i: int, k: int, value: int) -> None:
         p = self.p
-        if not 0 <= value < p:
-            raise self._out_of_range(lineno, value)
         if i % 2 == 0 or not 1 <= i <= p - 2:
             raise PairingFormatError(
                 f"line {lineno}: i must be odd in [1, p-2], got {i}"
@@ -156,8 +150,6 @@ class _TableReader:
         states[i >> 1] = 2 if value == 0 else 1
 
     def add_b(self, lineno: int, k: int, kp: int, value: int) -> None:
-        if not 0 <= value < self.p:
-            raise self._out_of_range(lineno, value)
         if k >= kp:
             raise PairingFormatError(f"line {lineno}: B row needs k < k'")
         for key in (k, kp):
@@ -204,27 +196,6 @@ def _not_utf8(exc: UnicodeDecodeError, start: int) -> PairingFormatError:
     )
 
 
-def _line_blocks(blocks: Iterable[bytes]) -> Iterator[list[str]]:
-    """The lines of UTF-8 text arriving in blocks of whole lines (see
-    ``read_blocks``), a list per block, split as ``str.splitlines`` splits
-    the whole text: a block ends at a newline byte, which no multibyte UTF-8
-    sequence holds and which ends every line break it is part of.
-
-    An undecodable byte raises only after the lines before it.
-    """
-    start = 0  # file position of the block
-    for block in blocks:
-        try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # a stand-in for the bad byte ends the text inside its line, so
-            # every line before that one comes out whole
-            yield (block[:exc.start].decode("utf-8") + "\ufffd").splitlines()[:-1]
-            raise _not_utf8(exc, start) from None
-        start += len(block)
-        yield text.splitlines()
-
-
 def read_blocks(fh, sha) -> Iterator[bytes]:
     """The bytes of the binary file fh in blocks of whole lines, about
     READ_CHUNK bytes each (one long line makes a longer block), each fed to
@@ -234,11 +205,34 @@ def read_blocks(fh, sha) -> Iterator[bytes]:
         yield block
 
 
-def _rows(source: Iterable[bytes]) -> Iterator[tuple]:
-    """The rows (line number, kind, p, a, b, value) of the text arriving in
-    blocks of whole lines, format-checked, in file order."""
-    lineno = 0
-    for lines in _line_blocks(source):
+def parse_pairing_file(
+    source: Iterable[bytes], R_by_p: Mapping[int, IrregularSet]
+) -> dict[int, PairingTable]:
+    """Split a multi-prime table into per-prime tables.
+
+    ``source`` is the UTF-8 text in blocks of whole lines (see
+    ``read_blocks``).  Each block is split on its own, which splits the text
+    as ``str.splitlines`` splits it whole: a block ends at a newline byte,
+    which no multibyte UTF-8 sequence holds and which ends every line break
+    it is part of.  Rows for odd primes absent from R_by_p are ignored
+    unchecked past their fields (they belong to a range the caller is not
+    sweeping), and a row whose p is not an odd prime is an error; a prime
+    without rows gets no table.  The first bad line in file order is
+    reported, and an undecodable byte only after the lines before it; the
+    B/E zeroness check runs once every row is read.
+    """
+    readers: dict[int, _TableReader] = {}
+    skipped: set[int] = set()  # odd primes outside R_by_p, each checked once
+    lineno = start = 0  # start: the file position of the block
+    for block in source:
+        try:
+            lines, bad = block.decode("utf-8").splitlines(), None
+        except UnicodeDecodeError as exc:
+            # a stand-in for the bad byte ends the text inside its line, so
+            # every line before that one comes out whole
+            lines = (block[:exc.start].decode("utf-8") + "\ufffd").splitlines()[:-1]
+            bad = _not_utf8(exc, start)
+        start += len(block)
         for raw in lines:
             lineno += 1
             fields = raw.split()
@@ -262,38 +256,26 @@ def _rows(source: Iterable[bytes]) -> Iterator[tuple]:
                     p, a, b, value = map(decimal_int, numbers)
             except ValueError as exc:
                 raise PairingFormatError(f"line {lineno}: {exc}") from None
-            yield lineno, kind, p, a, b, value
-
-
-def parse_pairing_file(
-    source: Iterable[bytes], R_by_p: Mapping[int, IrregularSet]
-) -> dict[int, PairingTable]:
-    """Split a multi-prime table into per-prime tables.
-
-    ``source`` is the UTF-8 text in blocks of whole lines (see
-    ``read_blocks``).  Rows for odd primes absent from R_by_p are ignored
-    (they belong to a range the caller is not sweeping), and a row whose p is
-    not an odd prime is an error; a prime without rows gets no table.  The
-    first bad line in file order is reported; the B/E zeroness check runs
-    once every row is read.
-    """
-    readers: dict[int, _TableReader] = {}
-    skipped: set[int] = set()  # odd primes outside R_by_p, each checked once
-    for lineno, kind, p, a, b, value in _rows(source):
-        reader = readers.get(p)
-        if reader is None:
-            if p not in R_by_p:
-                if p not in skipped:
-                    try:
-                        skipped.add(require_odd_prime(p))
-                    except ValueError as exc:  # not prime, or past the primality test
-                        raise PairingFormatError(f"line {lineno}: {exc}") from None
-                continue
-            reader = readers[p] = _TableReader(R_by_p[p])
-        if kind == "E":
-            reader.add_e(lineno, a, b, value)
-        else:
-            reader.add_b(lineno, a, b, value)
+            reader = readers.get(p)
+            if reader is None:
+                if p not in R_by_p:
+                    if p not in skipped:
+                        try:
+                            skipped.add(require_odd_prime(p))
+                        except ValueError as exc:  # not prime, or past the primality test
+                            raise PairingFormatError(f"line {lineno}: {exc}") from None
+                    continue
+                reader = readers[p] = _TableReader(R_by_p[p])
+            if not 0 <= value < p:  # first of a row's checks, for both kinds
+                raise PairingFormatError(
+                    f"line {lineno}: value {value} out of range [0, {p})"
+                )
+            if kind == "E":
+                reader.add_e(lineno, a, b, value)
+            else:
+                reader.add_b(lineno, a, b, value)
+        if bad is not None:
+            raise bad
     # each reader is dropped as its table is made, so the two never all coexist
     return {p: readers.pop(p).table() for p in list(readers)}
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import re
 import sys
 import time
 
@@ -92,6 +93,12 @@ def test_parse_rejects_bad_values_and_keys():
         parse_one("B\t1217\t784\t866\t1217\n", IRR_1217)
     with pytest.raises(PairingFormatError, match="duplicate B key"):
         parse_one("B\t1217\t784\t866\t5\nB\t1217\t784\t866\t5\n", IRR_1217)
+    # a row with two faults reports its value first, whatever its kind
+    with pytest.raises(PairingFormatError, match=re.escape("line 1: value 37 out of range [0, 37)")):
+        parse_one("E\t37\t8\t32\t37\n", IRR_37)
+    with pytest.raises(PairingFormatError,
+                       match=re.escape("line 1: value 1217 out of range [0, 1217)")):
+        parse_one("B\t1217\t866\t784\t1217\n", IRR_1217)
 
 
 def test_parse_rejects_b_e_zeroness_mismatch():
@@ -145,6 +152,7 @@ def test_parse_checks_each_skipped_p_once(monkeypatch):
 
     monkeypatch.setattr(pairing, "require_odd_prime", require_odd_prime)
     text = "".join(f"E\t{p}\t1\t32\t5\n" for p in (7069, 41, 7069, 37, 41, 7069))
+    text += "E\t41\t3\t32\t50\n"  # a value past p: rows of a skipped prime go unchecked
     assert set(parse_pairing_file([text.encode()], {37: IRR_37})) == {37}
     assert checked == [7069, 41]
 
@@ -396,17 +404,19 @@ def test_undecodable_byte_past_first_chunk_names_its_file_position():
 
 
 def test_line_blocks_split_as_splitlines():
-    # blocks of whole lines at every size; "\r\n" never straddles two
+    # blocks of whole lines at every size; "\r\n" never straddles two.  The
+    # first bad line is numbered as in the text split whole, and the last
+    # line is always bad
     pieces = ["E\t37\t7\t32\t5", "#", "é", "✓", "\r", "\n", "\r\n", "\x85",
               "\u2028", "\x0b", "\x1c", " ", "x"]
     rng = random.Random(11)
     for _ in range(300):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
-        raw = text.encode()
+        raw = (text + "\nbad\n").encode()
+        whole = parse_error(raw, {37: IRR_37}, len(raw))
+        assert whole.startswith("line ")
         for size in (1, 2, 3, 5):
-            lines = [line for block in pairing._line_blocks(blocks(raw, size))
-                     for line in block]
-            assert lines == text.splitlines()
+            assert parse_error(raw, {37: IRR_37}, size) == whole
 
 
 def test_long_line_costs_its_length():
