@@ -36,7 +36,7 @@ import marshal
 import os
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .modmath import convolution_mod, mod_inv, primitive_root, require_odd_prime
+from .modmath import convolution_mod, primitive_root, require_odd_prime
 
 METHOD_NAIVE = "naive"
 METHOD_VORONOI = "voronoi"
@@ -90,7 +90,7 @@ def bernoulli_naive_row(p: int) -> dict[int, int]:
             if B[j]:
                 s = (s + binom[j] * B[j]) % p
         # C(m+1, m) = m+1 < p, hence invertible
-        B[m] = -s * mod_inv(m + 1, p) % p
+        B[m] = -s * pow(m + 1, -1, p) % p
     return {k: B[k] for k in range(2, p - 2, 2)}
 
 
@@ -109,7 +109,7 @@ def _voronoi_value(p: int, k: int) -> int:
     s = 0
     for j in range(1, p):
         s = (s + pow(j, k - 1, p) * (j * t // p)) % p
-    return k * pow(t, k - 1, p) * mod_inv(pow(t, k, p) - 1, p) * s % p
+    return k * pow(t, k - 1, p) * pow(pow(t, k, p) - 1, -1, p) * s % p
 
 
 def bernoulli_voronoi(p: int, k: int) -> int:
@@ -134,7 +134,7 @@ def bernoulli_voronoi_row(p: int) -> dict[int, int]:
             values[k] = _voronoi_value(p, k)
         else:
             s = sum(jpow) % p
-            values[k] = k * pow(2, k - 1, p) * mod_inv(pow(2, k, p) - 1, p) * s % p
+            values[k] = k * pow(2, k - 1, p) * pow(pow(2, k, p) - 1, -1, p) * s % p
         jpow = [a * b % p for a, b in zip(jpow, jsq)]
     return values
 
@@ -159,7 +159,7 @@ def _voronoi_sums(p: int) -> tuple[int, list[int], list[int]]:
     n = (p - 1) // 2
     t = n % 2
     z = _square_powers(g, n, t, p)
-    z_inv = _square_powers(mod_inv(g, p), n, t, p)
+    z_inv = _square_powers(pow(g, -1, p), n, t, p)
     # x[-a] = x_a = eps(a) g^((1-t) a - a^2), stored as (x_0, x_(n-1), ..., x_1);
     # ga = g^a mod p
     x, ga = [0] * n, 1
@@ -183,7 +183,7 @@ def bernoulli_fast_row(p: int) -> dict[int, int]:
         den[m] = (gk * g - 1) % p  # g^k - 1, nonzero as 0 < k < p - 1
         prefix[m], acc = acc, acc * den[m] % p
         gk = gk * g * g % p
-    inv = mod_inv(acc, p)  # one inverse for all den[m], unwound from the top
+    inv = pow(acc, -1, p)  # one inverse for all den[m], unwound from the top
     for m in range(size - 1, -1, -1):
         num[m] = num[m] * inv * prefix[m] % p
         inv = inv * den[m] % p
@@ -250,7 +250,9 @@ def _serve(fn: Callable, items: list, task_r: int, res_w: int, inherited) -> Non
         # imported here, as only a failing child needs it
         import traceback
 
-        with open(2, "w", closefd=False) as err:  # not the parent's buffered sys.stderr
+        # not the parent's buffered sys.stderr, but its error handler, so a
+        # message the locale cannot encode still prints whole
+        with open(2, "w", errors="backslashreplace", closefd=False) as err:
             traceback.print_exc(file=err)
     finally:
         os._exit(status)

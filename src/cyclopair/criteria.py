@@ -214,15 +214,10 @@ def gk_verdict(
              "collision_violations": list(cc.collision_violations)},
         )
     pairs = list(combinations(irr.indices, 2))  # each k < k', in order
-    zero, missing, b_only = [], [], []
-    for k, kp in pairs:
-        status = pair_status(irr, table, k, kp)
-        if status == "zero":
-            zero.append((k, kp))
-        elif status == "missing":
-            missing.append((k, kp))
-        elif status == "nonzero-b":
-            b_only.append((k, kp))
+    by_state = {"zero": [], "missing": [], "nonzero-b": [], "nonzero": []}
+    for k, kp in pairs:  # a state outside the four raises KeyError
+        by_state[pair_status(irr, table, k, kp)].append((k, kp))
+    zero, missing, b_only = by_state["zero"], by_state["missing"], by_state["nonzero-b"]
     if zero:
         return Verdict(FAILS, {"zero_pairs": zero, "reason": "nonabelian"})
     if missing:

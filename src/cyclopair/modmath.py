@@ -4,8 +4,7 @@ Everything here is pure and deterministic; residues are plain ints reduced
 into [0, m).
 """
 
-import sys
-from array import array
+import struct
 
 # The one bound on p, checked by is_prime on every route that reads a p:
 # the sieve allocates --max-p bytes, a row holds (p - 3) / 2 entries, and
@@ -21,8 +20,6 @@ MODULUS_LIMIT = 1 << 31
 # p = 24,989.
 _DECIMAL_CUTOFF = 5300
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
 
 def is_prime(n: int) -> bool:
     """Primality by trial division, for n <= 2^31."""
@@ -35,14 +32,6 @@ def require_odd_prime(p: int) -> int:
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return p
-
-
-def mod_inv(a: int, p: int) -> int:
-    """Inverse of a modulo the odd prime p."""
-    a %= p
-    if a == 0:
-        raise ValueError(f"0 is not invertible mod {p}")
-    return pow(a, p - 2, p)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -78,7 +67,7 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     # between slots, then fold slot n + m of the product onto slot m.  A
     # folded slot sums exactly n products, so it stays within the caller's
     # bound n (p-1)^2 < 2^64 that sized the slots, and no carry crosses one.
-    # array('Q') and strided byte copies do the per-coefficient work in C.
+    # struct's "<Q" words and strided byte copies do the per-coefficient work in C.
     n = len(u)
     prod = _pack_slots(u, width) * _pack_slots(v, width)
     bits = 8 * width * n
@@ -86,18 +75,12 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     words = bytearray(8 * n)
     for j in range(width):
         words[j::8] = folded[j::width]
-    raw = array("Q", words)
-    if _BIG_ENDIAN:
-        raw.byteswap()
-    return [c % p for c in raw]
+    return [c % p for c in struct.unpack(f"<{n}Q", words)]
 
 
 def _pack_slots(coeffs: list[int], width: int) -> int:
     # the low width bytes of each little-endian 64-bit word, back to back
-    words = array("Q", coeffs)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    raw = words.tobytes()
+    raw = struct.pack(f"<{len(coeffs)}Q", *coeffs)
     slots = bytearray(width * len(coeffs))
     for j in range(width):
         slots[j::width] = raw[j::8]

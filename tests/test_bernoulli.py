@@ -22,7 +22,7 @@ from cyclopair.bernoulli import (
     irregular_sweep,
 )
 from cyclopair.cache import IrregularCache
-from cyclopair.modmath import is_prime, mod_inv, primitive_root
+from cyclopair.modmath import is_prime, primitive_root
 from helpers import zero_indices
 
 REFERENCE_25000 = (
@@ -33,7 +33,7 @@ EXACT = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction
 
 
 def reduce_mod(f: Fraction, p: int) -> int:
-    return f.numerator * mod_inv(f.denominator, p) % p
+    return f.numerator * pow(f.denominator, -1, p) % p
 
 
 def test_naive_p7():
@@ -234,8 +234,8 @@ def kummer_pairs(p: int, row: dict[int, int], shift: int = 1):
     (k, lhs, rhs)."""
     for k in sorted(row):
         k2 = k + shift * (p - 1)
-        lhs = row[k] * mod_inv(k, p) % p
-        rhs = _voronoi_value(p, k2) * mod_inv(k2, p) % p
+        lhs = row[k] * pow(k, -1, p) % p
+        rhs = _voronoi_value(p, k2) * pow(k2, -1, p) % p
         yield k, lhs, rhs
 
 
@@ -313,16 +313,20 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _fail_at_157(monkeypatch):
+def _fail_at_157(monkeypatch, tail=""):
     # the forked children inherit the patch
     real = bernoulli.irregular_indices
 
     def failing(p):
         if p == 157:
-            raise ZeroDivisionError("injected fault at p = 157")
+            raise ZeroDivisionError("injected fault at p = 157" + tail)
         return real(p)
 
     monkeypatch.setattr(bernoulli, "irregular_indices", failing)
+
+
+def _fail_at_157_not_ascii(monkeypatch):
+    _fail_at_157(monkeypatch, " \u2192")
 
 
 def _children_die_at_once(monkeypatch):
@@ -374,17 +378,30 @@ sys.exit(status)
 """
 
 
+def _run_cli_with_fault(fault: str, **env: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join([str(Path(bernoulli.__file__).parents[1]), str(Path(__file__).parent)])
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_FAULT.format(fault=fault)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
 @pytest.mark.parametrize("fault", ["_fail_at_157", "_children_die_at_once"])
 def test_cli_worker_failure_is_an_internal_error(fault):
     # exit 1 with a traceback, not 2, and not the closed-stdout exit either:
     # stdout stays usable
-    path = os.pathsep.join([str(Path(bernoulli.__file__).parents[1]), str(Path(__file__).parent)])
-    res = subprocess.run(
-        [sys.executable, "-c", _CLI_WITH_FAULT.format(fault=fault)],
-        capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    res = _run_cli_with_fault(fault)
     assert res.returncode == 1, res.stderr.decode()
     assert b"RuntimeError: worker " in res.stderr
     assert res.stdout.endswith(b"stdout still open\n")
+
+
+def test_cli_worker_traceback_whole_in_an_ascii_locale():
+    # the worker's stderr encodes ASCII here; a non-ASCII fault message must
+    # not cut its traceback short of the exception line
+    res = _run_cli_with_fault(
+        "_fail_at_157_not_ascii", LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert res.returncode == 1, res.stderr.decode()
+    assert b"ZeroDivisionError: injected fault at p = 157" in res.stderr
 
 
 def _fork_fails(monkeypatch):

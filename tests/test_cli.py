@@ -325,6 +325,18 @@ def test_irregular_cache_not_utf8_recomputed(tmp_path):
     cache_file.read_text(encoding="utf-8")
 
 
+def test_irregular_cache_unreadable_recomputed(tmp_path):
+    # a directory where the cache file belongs: it can be neither read nor replaced
+    (tmp_path / "irregular.tsv").mkdir()
+    env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV_VAR}
+    res = run_cli("irregular", "--max-p", 300, "--cache", tmp_path, env=env)
+    assert res.returncode == 0
+    assert res.stdout == run_cli("irregular", "--max-p", 300, env=env).stdout
+    assert b"cache unreadable, recomputing" in res.stderr
+    assert b"cache not writable, continuing uncached" in res.stderr
+    assert not list(tmp_path.glob("irregular.*.tmp"))
+
+
 def test_congruence_sweep_clean():
     res = run_cli("congruence-sweep", "--max-p", 200)
     assert res.returncode == 0

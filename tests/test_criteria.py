@@ -285,6 +285,14 @@ def test_gk_monotone_toward_fails():
     assert gk_for(IRR_157, zeroed).status == FAILS
 
 
+def test_gk_unknown_pair_state_raises(monkeypatch):
+    # HOLDS never rests on a state nobody recognised
+    monkeypatch.setattr("cyclopair.criteria.pair_status", lambda *args: "unknown")
+    table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
+    with pytest.raises(KeyError):
+        gk_for(IRR_157, table)
+
+
 def test_verdicts_are_pure():
     table = parsed(IRR_157, synth_b_table(157, IRR_157, seed=1))
     assert gk_for(IRR_157, table) == gk_for(IRR_157, table)

@@ -12,7 +12,6 @@ from cyclopair.modmath import (
     convolution_mod,
     factorize,
     is_prime,
-    mod_inv,
     primitive_root,
     require_odd_prime,
 )
@@ -52,28 +51,6 @@ def test_require_odd_prime():
     for bad in (1, 2, 4, 9, 1000):
         with pytest.raises(ValueError):
             require_odd_prime(bad)
-
-
-def test_mod_inv_examples():
-    assert mod_inv(6, 7) == 6
-    assert mod_inv(1, 101) == 1
-    assert mod_inv(3, 37) == 25  # 3*25 = 75 = 2*37 + 1
-
-
-def test_mod_inv_zero_rejected():
-    with pytest.raises(ValueError):
-        mod_inv(0, 7)
-    with pytest.raises(ValueError):
-        mod_inv(14, 7)
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=1, max_value=10**6))
-def test_mod_inv_properties(p, a):
-    if a % p == 0:
-        a += 1
-    inv = mod_inv(a, p)
-    assert inv * a % p == 1
-    assert mod_inv(inv, p) == a % p
 
 
 def test_factorize():

@@ -403,7 +403,7 @@ def test_undecodable_byte_past_first_chunk_names_its_file_position():
             assert parse_error(raw, {37: IRR_37}, size) == want
 
 
-def test_line_blocks_split_as_splitlines():
+def test_blocks_split_as_splitlines():
     # blocks of whole lines at every size; "\r\n" never straddles two.  The
     # first bad line is numbered as in the text split whole, and the last
     # line is always bad
