@@ -79,16 +79,11 @@ def _flags_for(args):
     that is not auto put over them."""
     from .criteria import FLAG_TRUE, FLAG_UNKNOWN, HypothesisFlags
 
-    surjective = {"yes": FLAG_TRUE, "no": FLAG_UNKNOWN}.get(args.surjective)
-
-    def flags_for(p: int):
-        defaults = HypothesisFlags.defaults_for(p)
-        return HypothesisFlags(
-            defaults.vandiver if args.vandiver == "auto" else args.vandiver,
-            defaults.procyclic if args.procyclic == "auto" else args.procyclic,
-            surjective or defaults.pairing_surjective)
-
-    return flags_for
+    surjective = {"yes": FLAG_TRUE, "no": FLAG_UNKNOWN}.get(args.surjective, "auto")
+    options = {"vandiver": args.vandiver, "procyclic": args.procyclic,
+               "pairing_surjective": surjective}
+    overrides = {name: value for name, value in options.items() if value != "auto"}
+    return lambda p: HypothesisFlags.defaults_for(p)._replace(**overrides)
 
 
 def _cmd_bern(args) -> int:

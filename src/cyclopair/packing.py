@@ -463,36 +463,26 @@ def brute_force_packing(inst: PackingInstance) -> PackingResult:
 
     Conflicts come from direct translate intersection, not from the
     difference-set reduction, so this is a genuinely independent oracle.
-    The witness is the lexicographically least maximum subset.
+    The witness is the lexicographically least maximum subset: a depth-first
+    search over the sorted candidates, inclusion first, meets the subsets in
+    that order, and only a strictly larger one replaces the best.  A branch
+    is cut once its size plus the candidates left cannot beat the best.
     """
-    verts = list(inst.candidates)
+    verts = inst.candidates
     n = len(verts)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force refused for |I| = {n} > {BRUTE_FORCE_LIMIT}")
-    translates = [
-        {(i + x) % inst.modulus for x in inst.shape} for i in verts
-    ]
-    conflict = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if translates[a] & translates[b]:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-    independent = bytearray(1 << n)
-    independent[0] = 1
-    best_count, best_sets = 0, [0]
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        ok = independent[rest] and not conflict[low.bit_length() - 1] & rest
-        independent[s] = ok
-        if ok:
-            c = s.bit_count()
-            if c > best_count:
-                best_count, best_sets = c, [s]
-            elif c == best_count:
-                best_sets.append(s)
-    witness = min(
-        tuple(verts[i] for i in range(n) if s >> i & 1) for s in best_sets
-    )
-    return _finish(inst, witness, "brute")
+    translates = [{(i + x) % inst.modulus for x in inst.shape} for i in verts]
+    best: list[int] = []
+
+    def grow(k: int, subset: list[int], covered: set[int]) -> None:
+        if len(subset) > len(best):
+            best[:] = subset
+        for j in range(k, n):
+            if len(subset) + n - j <= len(best):
+                return
+            if translates[j].isdisjoint(covered):
+                grow(j + 1, subset + [verts[j]], covered | translates[j])
+
+    grow(0, [], set())
+    return _finish(inst, best, "brute")

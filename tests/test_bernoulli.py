@@ -83,6 +83,12 @@ def test_voronoi_rejects_bad_k():
             bernoulli_voronoi(37, bad)
 
 
+def test_voronoi_value_rejects_k_divisible_by_p_minus_1():
+    # then t^k = 1 for every unit t, and the base search would never end
+    with pytest.raises(ValueError, match="not divisible by p-1"):
+        _voronoi_value(7, 6)
+
+
 def test_voronoi_base_fallback():
     # ord(2) divides 8 mod 17, so k = 8 forces a base > 2
     assert pow(2, 8, 17) == 1

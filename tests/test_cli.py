@@ -629,6 +629,20 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     assert "cyclopair: error:" not in err
 
 
+def test_faulty_packing_witness_exits_1(monkeypatch, capsys, tmp_path):
+    # the packing re-check's alarm is a bug, not a usage error
+    from cyclopair import packing
+
+    path = tmp_path / "synth_full.tsv"
+    path.write_text(serialize_pairing_table(synth_table(157, irregular_indices(157), seed=1)))
+    monkeypatch.setattr(packing, "_solve_mask",
+                        lambda adj, mask, floor=0: (mask.bit_count(), mask, 0))
+    assert cli.main(["criteria", "157", "--pairing", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "exact solver produced overlapping translates" in err
+    assert "cyclopair: error:" not in err
+
+
 def test_closed_stdout_is_not_a_usage_error():
     # bern 24989 prints about 140 kB, more than the pipe and both buffers
     # hold, so the CLI is still writing when the reader goes away

@@ -89,6 +89,33 @@ def test_brute_refuses_large():
         brute_force_packing(inst(60, [1], range(21)))
 
 
+def test_brute_witness_is_the_first_maximum_combination():
+    # the textbook enumeration: sizes from |I| down, each size's subsets in
+    # itertools' lexicographic order, and the first packing found wins
+    rng = random.Random(2024)
+    for _ in range(300):
+        m = rng.randint(2, 40)
+        pi = inst(m, rng.sample(range(m), rng.randint(1, min(5, m))),
+                  rng.sample(range(m), rng.randint(0, min(10, m))))
+        first = next(subset for size in range(len(pi.candidates), -1, -1)
+                     for subset in itertools.combinations(pi.candidates, size)
+                     if translates_disjoint(pi, subset))
+        res = brute_force_packing(pi)
+        assert res.witness == first
+        assert res.count == len(first)
+
+
+@pytest.mark.parametrize("chosen, message", [
+    (1 << 5, "exact solver chose offsets outside the candidates"),  # offset 11
+    (0b101, "exact solver produced overlapping translates"),  # 5 - 1 lies in R - R
+])
+def test_finish_alarms_on_a_faulty_solver(monkeypatch, chosen, message):
+    monkeypatch.setattr(packing, "_solve_mask",
+                        lambda adj, mask, floor=0: (chosen.bit_count(), chosen, 0))
+    with pytest.raises(RuntimeError, match=message):
+        max_disjoint_translates_exact(inst(12, [2, 6], [1, 3, 5, 9]))
+
+
 def test_instance_normalizes():
     a = inst(12, [14, 6, 2], [13, 1, 3])
     assert a.shape == (2, 6)
