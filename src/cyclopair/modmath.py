@@ -11,14 +11,16 @@ import struct
 # trial division stops below 46,341.
 MODULUS_LIMIT = 1 << 31
 
-# From this length on the decimal product beats the Kronecker one.  Cyclic
-# products of equal lengths n, p the least prime >= 2n + 1, best of 20-60
-# interleaved runs on a 2-vCPU x86-64 host with CPython 3.11, Kronecker
-# against decimal: 0.62 / 1.70 ms at n = 999, 3.23 / 3.60 at 3,000,
-# 6.11 / 7.09 at 4,500, 7.38 / 7.64 at 5,000, 8.06 / 8.13 at 5,300,
-# 8.59 / 8.26 at 5,500, 9.70 / 8.86 at 6,000, and 38.1 / 24.7 ms at
-# p = 24,989.
-_DECIMAL_CUTOFF = 5300
+# The cyclic product's three length bands.  Best of 25 interleaved runs on
+# a 2-vCPU x86-64 host with CPython 3.11, p the least prime >= 2n + 1, as
+# `PYTHONPATH=src python tests/test_modmath.py` prints them, one Kronecker
+# product / four points / decimal: 0.07 / 0.09 / 0.28 ms at n = 249,
+# 0.15 / 0.15 / 0.75 at 450, 0.18 / 0.17 / 0.88 at 500, 0.84 / 0.62 / 1.64
+# at 1,238, 9.43 / 6.03 / 8.21 at 5,943, 23.6 / 14.3 / 15.7 at 9,006,
+# 25.2 / 15.4 / 15.9 at 9,600, 28.0 / 16.8 / 16.4 at 10,000 and
+# 39.8 / 22.9 / 24.0 ms at 12,494: from 9,600 on the last two run even.
+_FOUR_POINT_CUTOFF = 500
+_DECIMAL_CUTOFF = 9600
 
 
 def is_prime(n: int) -> bool:
@@ -69,13 +71,39 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     # bound n (p-1)^2 < 2^64 that sized the slots, and no carry crosses one.
     # struct's "<Q" words and strided byte copies do the per-coefficient work in C.
     n = len(u)
-    prod = _pack_slots(u, width) * _pack_slots(v, width)
+    prod = (_pack_slots(u, width) * _pack_slots(v, width) if n < _FOUR_POINT_CUTOFF
+            else _product_four_points(u, v, width))
     bits = 8 * width * n
     folded = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(width * n, "little")
     words = bytearray(8 * n)
     for j in range(width):
         words[j::8] = folded[j::width]
     return [c % p for c in struct.unpack(f"<{n}Q", words)]
+
+
+def _product_four_points(u: list[int], v: list[int], width: int) -> int:
+    # _pack_slots(u, width) * _pack_slots(v, width) by Harvey's multipoint
+    # Kronecker substitution.  Class r of a sequence, its entries r mod 4,
+    # packed and shifted r b bits, b a quarter slot, is its term in the value
+    # at z = 2^b.  Five quarter-length products give the product's values at
+    # z, -z and iz (three for the Gaussian one), and exact shifts its classes.
+    b = 2 * width
+    points = []
+    for c in (u, v):
+        p0, p1, p2, p3 = (_pack_slots(c[r::4], width) << r * b for r in range(4))
+        even, odd, re, im = p0 + p2, p1 + p3, p0 - p2, p1 - p3
+        points.append((even + odd, even - odd, re, im, re + im))
+    plus, minus, rr, ii, mixed = (x * y for x, y in zip(*points))
+    s, t, re, im = plus + minus, plus - minus, rr - ii, mixed - rr - ii
+    classes = ((s + 2 * re) >> 2, (t + 2 * im) >> 2 + b,
+               (s - 2 * re) >> 2 + 2 * b, (t - 2 * im) >> 2 + 3 * b)
+    m = (2 * len(u) + 2) // 4  # slots a class needs to cover all 2n - 1
+    out = bytearray(4 * m * width)
+    for r, y in enumerate(classes):
+        raw = y.to_bytes(m * width, "little")
+        for j in range(width):
+            out[r * width + j::4 * width] = raw[j::width]
+    return int.from_bytes(out, "little")
 
 
 def _pack_slots(coeffs: list[int], width: int) -> int:
@@ -118,9 +146,9 @@ def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
     c_m = sum of u_i v_j over i + j == m (mod n), for m < n.
 
     u, v and the result are residues, ints in [0, p); on those it is
-    bit-exact with that double sum, and the Kronecker and decimal products
-    only compute it faster.  Raises ValueError unless u and v are nonempty
-    of equal length.
+    bit-exact with that double sum, and the packed-integer products (one,
+    five of quarter length, or ``decimal``, by length) only compute it
+    faster.  Raises ValueError unless u and v are nonempty of equal length.
     """
     n = len(u)
     if n == 0 or len(v) != n:

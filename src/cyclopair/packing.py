@@ -454,7 +454,8 @@ def max_disjoint_translates_exact(inst: PackingInstance) -> PackingResult:
     else:  # a rotation puts a maximum packing on vertex 0
         _, chosen, nodes = _solve_mask(adj, mask & ~(1 | adj[1]))
         chosen |= 1
-    offsets = [i0 + t * j for j in range(len(adj) - 1) if chosen >> j & 1]
+    # a stray bit j >= n gives an offset of at least m, which _finish refuses
+    offsets = [i0 + t * j for j in range(chosen.bit_length()) if chosen >> j & 1]
     return _finish(inst, offsets, "exact", nodes)
 
 

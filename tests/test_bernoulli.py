@@ -1,4 +1,5 @@
 import errno
+import itertools
 import os
 import random
 import subprocess
@@ -180,15 +181,22 @@ def test_voronoi_sums_hand_the_product_residues(monkeypatch):
 
     monkeypatch.setattr(bernoulli, "convolution_mod", spy)
     list(irregular_sweep(3000))  # in this process: the Kronecker path
-    assert (10601 - 1) // 2 == modmath._DECIMAL_CUTOFF
-    irregular_indices(10601)  # the decimal path
+    decimal_p = least_decimal_prime()
+    irregular_indices(decimal_p)  # the decimal path
     bernoulli_fast_row(1217)
-    assert seen == [p for p in range(7, 3000) if is_prime(p)] + [10601, 1217]
+    assert seen == [p for p in range(7, 3000) if is_prime(p)] + [decimal_p, 1217]
+
+
+def least_decimal_prime(odd_n=False):
+    """The least prime whose row length n = (p - 1) / 2 takes the decimal
+    path, and with odd n (p = 3 mod 4) if asked."""
+    return next(p for p in itertools.count(2 * modmath._DECIMAL_CUTOFF + 1)
+                if is_prime(p) and (p % 4 == 3 or not odd_n))
 
 
 @pytest.mark.parametrize("p, path", [
     (1019, "_convolution_kronecker"),  # n = 509
-    (10663, "_convolution_decimal"),   # n = 5331, R = {9430, 9788}
+    (least_decimal_prime(odd_n=True), "_convolution_decimal"),
 ])
 def test_fast_matches_voronoi_odd_n(monkeypatch, p, path):
     # odd n is cyclic only through the twist g^(t m); without it every sum
@@ -208,7 +216,10 @@ def test_fast_matches_voronoi_odd_n(monkeypatch, p, path):
     if p < 2000:
         assert row == bernoulli_voronoi_row(p)
         return
-    assert zero_indices(row) == (9430, 9788)
+    line = next(line for line in REFERENCE_25000.read_text().splitlines()
+                if line.startswith(f"{p}\t"))
+    ks = line.partition("\t")[2]
+    assert zero_indices(row) == (() if ks == "-" else tuple(map(int, ks.split(","))))
     rng = random.Random(p)
     for k in [2, 4, p - 5, p - 3] + rng.sample(range(6, p - 5, 2), 20):
         assert row[k] == bernoulli_voronoi(p, k), k

@@ -1,14 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclopair import modmath
 from cyclopair.bernoulli import _sieve_primes
 from cyclopair.modmath import (
     _DECIMAL_CUTOFF,
+    _FOUR_POINT_CUTOFF,
     _convolution_decimal,
     _convolution_kronecker,
+    _pack_slots,
+    _product_four_points,
     convolution_mod,
     factorize,
     is_prime,
@@ -165,6 +168,21 @@ def test_kronecker_and_decimal_paths_match_oracle():
     assert seen == set(range(1, 9))
 
 
+@pytest.mark.parametrize("width", range(1, 9))
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_four_point_product_is_the_single_product(width, n, data):
+    # every n mod 4, n < 4 leaving classes empty, and every slot width from
+    # 1 to 8 bytes; residues mostly p - 1, so coefficients reach the slot bound
+    primes = [p for p in SLOT_PRIMES if widths(n, p)[0] == width]
+    assume(primes)
+    p = data.draw(st.sampled_from(primes))
+    residues = st.lists(st.integers(min_value=0, max_value=4 * p).map(lambda r: min(r, p - 1)),
+                        min_size=n, max_size=n)
+    u, v = data.draw(residues), data.draw(residues)
+    assert _product_four_points(u, v, width) == _pack_slots(u, width) * _pack_slots(v, width)
+
+
 def test_fast_paths_zero_padding():
     # a delta times v is v: v's top residues are zero, so the product and
     # the folded sum both print shorter than their slots on the decimal path
@@ -227,6 +245,28 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
         assert got == cyclic_oracle(u, v, p)
 
 
+@pytest.mark.parametrize("n, four_points", [
+    (_FOUR_POINT_CUTOFF - 1, False),
+    (_FOUR_POINT_CUTOFF, True),
+    (_DECIMAL_CUTOFF - 1, True),
+])
+def test_convolution_at_four_point_cutoffs(monkeypatch, n, four_points):
+    # the Kronecker path's two products, at both edges of the four-point band
+    p = 3001
+    taken = []
+    real = modmath._product_four_points
+    monkeypatch.setattr(modmath, "_product_four_points",
+                        lambda *args: taken.append(n) or real(*args))
+    rng = random.Random(n)
+    u, v = ([rng.choice((p - 1, p - 1, p - 1, rng.randrange(p))) for _ in range(n)]
+            for _ in range(2))
+    got = convolution_mod(u, v, p)
+    assert taken == ([n] if four_points else [])
+    ms = sorted({0, 1, n - 2, n - 1, *rng.sample(range(n), 60)})
+    assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
+    assert got == _convolution_decimal(u, v, p, widths(n, p)[1])
+
+
 @pytest.mark.parametrize("p, n", [
     (7, 8), (3001, 13), (24989, _DECIMAL_CUTOFF + 3)])
 def test_convolution_zero_operand(p, n):
@@ -239,3 +279,44 @@ def test_convolution_zero_operand(p, n):
     slot_bytes, slot_digits = widths(n, p)
     assert _convolution_kronecker(zero, v, p, slot_bytes) == zero
     assert _convolution_decimal(v, zero, p, slot_digits) == zero
+
+
+if __name__ == "__main__":
+    # the best of 25 interleaved times of the single, four-point and decimal
+    # products at every timed length, so that a re-measured cutoff takes
+    # one run:
+    #   PYTHONPATH=src python tests/test_modmath.py
+    # with --check, one round that asserts only that the three agree
+    import sys
+    import time
+
+    check = sys.argv[1:] == ["--check"]
+    print("n\tp\tsingle ms\tfour points ms\tdecimal ms")
+    # the lengths the modmath cutoff comments cite
+    for n in (249, 450, 500, 1238, 5943, 9006, 9600, 10000, 12494):
+        p = next(q for q in range(2 * n + 1, 4 * n + 3) if is_prime(q))
+        rng = random.Random(n)
+        u, v = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+        slot_bytes, slot_digits = widths(n, p)
+        cutoff = modmath._FOUR_POINT_CUTOFF
+        routes = {  # the four-point cutoff each runs under, the route, its slot width
+            "single": (n + 1, _convolution_kronecker, slot_bytes),
+            "four points": (0, _convolution_kronecker, slot_bytes),
+            "decimal": (cutoff, _convolution_decimal, slot_digits),
+        }
+        best = dict.fromkeys(routes, float("inf"))
+        results = {}
+        try:
+            for _ in range(1 if check else 25):
+                for name, (four_point_cutoff, route, width) in routes.items():
+                    modmath._FOUR_POINT_CUTOFF = four_point_cutoff
+                    start = time.perf_counter()
+                    results[name] = route(u, v, p, width)
+                    best[name] = min(best[name], time.perf_counter() - start)
+        finally:
+            modmath._FOUR_POINT_CUTOFF = cutoff
+        assert results["single"] == results["four points"] == results["decimal"], n
+        if check:
+            print(f"{n}\t{p}\tagree")
+        else:
+            print(f"{n}\t{p}\t" + "\t".join(f"{1000 * t:.2f}" for t in best.values()))

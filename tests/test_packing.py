@@ -116,6 +116,13 @@ def test_finish_alarms_on_a_faulty_solver(monkeypatch, chosen, message):
         max_disjoint_translates_exact(inst(12, [2, 6], [1, 3, 5, 9]))
 
 
+def test_finish_alarms_on_a_solver_bit_past_the_circulant(monkeypatch):
+    # n = 6 vertices here, so bit 6 names no vertex and must not vanish
+    monkeypatch.setattr(packing, "_solve_mask", lambda adj, mask, floor=0: (1, 1 << 6, 0))
+    with pytest.raises(RuntimeError, match="exact solver chose offsets outside the candidates"):
+        max_disjoint_translates_exact(inst(12, [2, 6], [1, 3, 5, 9]))
+
+
 def test_instance_normalizes():
     a = inst(12, [14, 6, 2], [13, 1, 3])
     assert a.shape == (2, 6)
