@@ -144,9 +144,10 @@ def _square_powers(b: int, n: int, t: int, p: int) -> list[int]:
     # exponents at s and n - t - s differ by n (n - t - 2s), a multiple of
     # 2n = p - 1, so only s <= (n-t)/2 are computed and the rest mirrored.
     mid = (n - t) // 2
-    out, step, b2 = [1] * (mid + 1), pow(b, 1 + t, p), b * b % p
-    for s in range(1, mid + 1):
-        out[s], step = out[s - 1] * step % p, step * b2 % p
+    out, power, step, b2 = [1], 1, pow(b, 1 + t, p), b * b % p
+    for _ in range(mid):
+        power, step = power * step % p, step * b2 % p
+        out.append(power)
     return out + out[1 - t:mid][::-1]
 
 
@@ -160,12 +161,15 @@ def _voronoi_sums(p: int) -> tuple[int, list[int], list[int]]:
     t = n % 2
     z = _square_powers(g, n, t, p)
     z_inv = _square_powers(pow(g, -1, p), n, t, p)
-    # x[-a] = x_a = eps(a) g^((1-t) a - a^2), stored as (x_0, x_(n-1), ..., x_1);
-    # ga = g^a mod p
-    x, ga = [0] * n, 1
-    for a in range(n):
-        q, ga_next = divmod(g * ga, p)  # q = floor(g (g^a mod p) / p)
-        x[-a], ga = (2 * q - g + 1) * ga * z_inv[a] % p, ga_next
+    # x_a = eps(a) g^((1-t) a - a^2) for a < n, with ga = g^a mod p and
+    # eps(a) = eps[q] for q = floor(g ga / p) < g
+    eps = [2 * q - g + 1 for q in range(g)]
+    x, ga = [], 1
+    for za in z_inv:
+        q, ga_next = divmod(g * ga, p)
+        x.append(eps[q] * ga * za % p)
+        ga = ga_next
+    x[1:] = x[:0:-1]  # the product takes (x_0, x_(n-1), ..., x_1)
     sums = convolution_mod(x, z, p)
     sums.pop()  # m = n - 1 is k = p - 1, outside the row
     return g, z_inv, sums

@@ -11,16 +11,14 @@ import struct
 # trial division stops below 46,341.
 MODULUS_LIMIT = 1 << 31
 
-# The cyclic product's three length bands.  Best of 25 interleaved runs on
-# a 2-vCPU x86-64 host with CPython 3.11, p the least prime >= 2n + 1, as
+# The cyclic product's two length bands.  Best of 25 interleaved runs on a
+# 2-vCPU x86-64 host with CPython 3.11, p the least prime >= 2n + 1, as
 # `PYTHONPATH=src python tests/test_modmath.py` prints them, one Kronecker
-# product / four points / decimal: 0.07 / 0.09 / 0.28 ms at n = 249,
-# 0.15 / 0.15 / 0.75 at 450, 0.18 / 0.17 / 0.88 at 500, 0.84 / 0.62 / 1.64
-# at 1,238, 9.43 / 6.03 / 8.21 at 5,943, 23.6 / 14.3 / 15.7 at 9,006,
-# 25.2 / 15.4 / 15.9 at 9,600, 28.0 / 16.8 / 16.4 at 10,000 and
-# 39.8 / 22.9 / 24.0 ms at 12,494: from 9,600 on the last two run even.
+# product / four points: 0.07 / 0.09 ms at n = 249, 0.15 / 0.16 at 450,
+# 0.18 / 0.17 at 500, 0.87 / 0.64 at 1,238, 10.2 / 6.35 at 5,943, 23.3 /
+# 14.2 at 9,006, 25.9 / 15.8 at 9,600, 27.8 / 16.6 at 10,000 and 39.0 /
+# 22.7 ms at 12,494.
 _FOUR_POINT_CUTOFF = 500
-_DECIMAL_CUTOFF = 9600
 
 
 def is_prime(n: int) -> bool:
@@ -68,17 +66,22 @@ def _convolution_kronecker(u: list[int], v: list[int], p: int, width: int) -> li
     # width bytes, so the integer product carries them without carries
     # between slots, then fold slot n + m of the product onto slot m.  A
     # folded slot sums exactly n products, so it stays within the caller's
-    # bound n (p-1)^2 < 2^64 that sized the slots, and no carry crosses one.
-    # struct's "<Q" words and strided byte copies do the per-coefficient work in C.
+    # bound n (p-1)^2 that sized the slots, and no carry crosses one.
+    # struct's "<Q" words and strided byte copies do the per-coefficient
+    # work in C: one word per slot up to 8 bytes, a pair of words above.
     n = len(u)
     prod = (_pack_slots(u, width) * _pack_slots(v, width) if n < _FOUR_POINT_CUTOFF
             else _product_four_points(u, v, width))
     bits = 8 * width * n
     folded = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(width * n, "little")
-    words = bytearray(8 * n)
+    word = 8 if width <= 8 else 16
+    words = bytearray(word * n)
     for j in range(width):
-        words[j::8] = folded[j::width]
-    return [c % p for c in struct.unpack(f"<{n}Q", words)]
+        words[j::word] = folded[j::width]
+    if word == 8:
+        return [c % p for c in struct.unpack(f"<{n}Q", words)]
+    halves = struct.unpack(f"<{2 * n}Q", words)
+    return [(lo + (hi << 64)) % p for lo, hi in zip(halves[::2], halves[1::2])]
 
 
 def _product_four_points(u: list[int], v: list[int], width: int) -> int:
@@ -107,38 +110,13 @@ def _product_four_points(u: list[int], v: list[int], width: int) -> int:
 
 
 def _pack_slots(coeffs: list[int], width: int) -> int:
-    # the low width bytes of each little-endian 64-bit word, back to back
+    # the low width bytes of each little-endian 64-bit word, back to back;
+    # a residue fills at most 4 of them, so a slot's bytes past 8 stay zero
     raw = struct.pack(f"<{len(coeffs)}Q", *coeffs)
     slots = bytearray(width * len(coeffs))
-    for j in range(width):
+    for j in range(min(width, 8)):
         slots[j::width] = raw[j::8]
     return int.from_bytes(slots, "little")
-
-
-def _convolution_decimal(u: list[int], v: list[int], p: int, width: int) -> list[int]:
-    # imported here, as only long products need it
-    from decimal import MAX_EMAX, Context, Decimal, Inexact, Rounded
-
-    # The same substitution in base 10^width, multiplied by libmpdec, whose
-    # number-theoretic transform beats CPython's Karatsuba on long operands.
-    # Coefficients go in and come out as zero-padded width-digit slices of
-    # decimal strings (most significant slot first), so no long int is ever
-    # converted to or from str, which is quadratic in CPython 3.11.  The top
-    # n - 1 slots of the product are split off its digit string and added
-    # back onto the low n, the same fold as above.  The context is exact: a
-    # result too long for prec would raise, not round.
-    n = len(u)
-    slot = f"%0{width}d"
-    a = Decimal(slot * n % tuple(reversed(u)))
-    b = Decimal(slot * n % tuple(reversed(v)))
-    ctx = Context(prec=(2 * n - 1) * width, Emax=MAX_EMAX, traps=[Inexact, Rounded])
-    digits = str(ctx.multiply(a, b)).zfill((2 * n - 1) * width)
-    split = (n - 1) * width
-    folded = ctx.add(Decimal(digits[:split] or 0), Decimal(digits[split:]))
-    digits = str(folded).zfill(n * width)
-    out = [int(digits[i:i + width]) % p for i in range(0, n * width, width)]
-    out.reverse()
-    return out
 
 
 def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
@@ -147,13 +125,11 @@ def convolution_mod(u: list[int], v: list[int], p: int) -> list[int]:
 
     u, v and the result are residues, ints in [0, p); on those it is
     bit-exact with that double sum, and the packed-integer products (one,
-    five of quarter length, or ``decimal``, by length) only compute it
-    faster.  Raises ValueError unless u and v are nonempty of equal length.
+    or five of quarter length, by length) only compute it faster.  Raises
+    ValueError unless u and v are nonempty of equal length.
     """
     n = len(u)
     if n == 0 or len(v) != n:
         raise ValueError("cyclic convolution requires nonempty sequences of equal length")
     bound = n * (p - 1) * (p - 1)  # no folded value exceeds it
-    if n < _DECIMAL_CUTOFF and bound < 1 << 64:
-        return _convolution_kronecker(u, v, p, (bound.bit_length() + 7) // 8)
-    return _convolution_decimal(u, v, p, len(str(bound)))
+    return _convolution_kronecker(u, v, p, (bound.bit_length() + 7) // 8)

@@ -1,5 +1,4 @@
 import errno
-import itertools
 import os
 import random
 import subprocess
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclopair import __version__, bernoulli, cli, modmath
+from cyclopair import __version__, bernoulli, cli
 from cyclopair.bernoulli import (
     IrregularSet,
     _voronoi_value,
@@ -180,39 +179,22 @@ def test_voronoi_sums_hand_the_product_residues(monkeypatch):
         return real(u, v, p)
 
     monkeypatch.setattr(bernoulli, "convolution_mod", spy)
-    list(irregular_sweep(3000))  # in this process: the Kronecker path
-    decimal_p = least_decimal_prime()
-    irregular_indices(decimal_p)  # the decimal path
+    list(irregular_sweep(3000))  # in this process: both Kronecker products
+    irregular_indices(19207)  # n = 9,603, the top band of the north-star sweep
     bernoulli_fast_row(1217)
-    assert seen == [p for p in range(7, 3000) if is_prime(p)] + [decimal_p, 1217]
+    assert seen == [p for p in range(7, 3000) if is_prime(p)] + [19207, 1217]
 
 
-def least_decimal_prime(odd_n=False):
-    """The least prime whose row length n = (p - 1) / 2 takes the decimal
-    path, and with odd n (p = 3 mod 4) if asked."""
-    return next(p for p in itertools.count(2 * modmath._DECIMAL_CUTOFF + 1)
-                if is_prime(p) and (p % 4 == 3 or not odd_n))
-
-
-@pytest.mark.parametrize("p, path", [
-    (1019, "_convolution_kronecker"),  # n = 509
-    (least_decimal_prime(odd_n=True), "_convolution_decimal"),
+@pytest.mark.parametrize("p", [
+    1019,  # n = 509
+    19207,  # n = 9,603
 ])
-def test_fast_matches_voronoi_odd_n(monkeypatch, p, path):
+def test_fast_matches_voronoi_odd_n(p):
     # odd n is cyclic only through the twist g^(t m); without it every sum
     # but T_0 would be wrong
     n = (p - 1) // 2
     assert n % 2 == 1
-    taken = []
-    real = getattr(modmath, path)
-
-    def spy(*args):
-        taken.append(path)
-        return real(*args)
-
-    monkeypatch.setattr(modmath, path, spy)
     row = bernoulli_fast_row(p)
-    assert taken == [path]
     if p < 2000:
         assert row == bernoulli_voronoi_row(p)
         return

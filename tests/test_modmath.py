@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,9 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclopair import modmath
 from cyclopair.bernoulli import _sieve_primes
 from cyclopair.modmath import (
-    _DECIMAL_CUTOFF,
     _FOUR_POINT_CUTOFF,
-    _convolution_decimal,
     _convolution_kronecker,
     _pack_slots,
     _product_four_points,
@@ -87,10 +89,21 @@ def cyclic_oracle(u, v, p, ms=None):
             for m in (range(n) if ms is None else ms)]
 
 
-def widths(n, p):
-    """Kronecker slot bytes and decimal slot digits for length n mod p."""
-    bound = n * (p - 1) ** 2
-    return (bound.bit_length() + 7) // 8, len(str(bound))
+def slot_width(n, p):
+    """Kronecker slot bytes for length n mod p."""
+    return ((n * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def convolution_from(u, v, p, four_point_cutoff):
+    """convolution_mod with the four-point product from length
+    four_point_cutoff on: 0 for four points at every length, len(u) + 1
+    for the single product."""
+    cutoff = modmath._FOUR_POINT_CUTOFF
+    modmath._FOUR_POINT_CUTOFF = four_point_cutoff
+    try:
+        return convolution_mod(u, v, p)
+    finally:
+        modmath._FOUR_POINT_CUTOFF = cutoff
 
 
 def test_convolution_examples():
@@ -103,7 +116,7 @@ def test_convolution_examples():
 
 @pytest.mark.parametrize("u, v", [
     ([], []), ([], [1]), ([1], []), ([1, 2, 3], [4, 5]), ([1], [1, 2]),
-    ([0] * (_DECIMAL_CUTOFF + 1), [0] * _DECIMAL_CUTOFF),
+    ([0] * 9601, [0] * 9600),
 ])
 def test_convolution_rejects_empty_or_unequal(u, v):
     with pytest.raises(ValueError):
@@ -129,24 +142,32 @@ def test_convolution_matches_oracle_property(p, data):
 
 
 def test_convolution_two_word_slots():
-    # at p = 2^31 - 1 the slot bound needs more than 64 bits from n = 2 on,
-    # which sends every such length to the decimal path; residue p - 1 makes
-    # the largest products there
+    # at p = 2^31 - 1 the slot bound needs more than 64 bits from n = 5 on,
+    # so each slot unpacks from a pair of 64-bit words; residue p - 1 makes
+    # the largest products there.  n = 600 takes the four-point product.
     p = 2**31 - 1
     rng = random.Random(31)
-    for n in (9, 40, 130):
+    for n in (9, 40, 130, 600):
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.choice((p - 1, 0, 1, rng.randrange(p))) for _ in range(n)]
-        assert (n * (p - 1) ** 2).bit_length() > 64
-        assert convolution_mod(u, v, p) == cyclic_oracle(u, v, p)
+        assert slot_width(n, p) == 9
+        got = convolution_mod(u, v, p)
+        if n < _FOUR_POINT_CUTOFF:
+            assert got == cyclic_oracle(u, v, p)
+        else:
+            assert got == convolution_from(u, v, p, n + 1)
+            ms = sorted({0, n - 1, *rng.sample(range(n), 60)})
+            assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
 
 
-# one prime per Kronecker slot width from 1 to 8 bytes at lengths up to 40
+# one prime per Kronecker slot width from 1 to 9 bytes at lengths up to 40
 SLOT_PRIMES = SMALL_PRIMES + [65537, 1048573, 16777213, 268435399, 2**31 - 1]
 
 
-def test_kronecker_and_decimal_paths_match_oracle():
-    # each fast path on its own, at short lengths and every slot width
+def test_kronecker_path_matches_oracle_at_every_width():
+    # the Kronecker path on its own, at short lengths, at each one's own
+    # slot width and at one as wide or wider: p <= 2^31 and n < 2^30 need
+    # no more than 12 bytes, which only lengths far past any test reach
     rng = random.Random(1500)
     seen = set()
     for _ in range(400):
@@ -155,26 +176,25 @@ def test_kronecker_and_decimal_paths_match_oracle():
         u = [rng.randrange(p) for _ in range(n)]
         v = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
         expected = cyclic_oracle(u, v, p)
-        slot_bytes, slot_digits = widths(n, p)
-        assert _convolution_decimal(u, v, p, slot_digits) == expected
-        if slot_bytes <= 8:
-            seen.add(slot_bytes)
-            assert _convolution_kronecker(u, v, p, slot_bytes) == expected
+        slot_bytes = slot_width(n, p)
+        for width in {slot_bytes, rng.randint(slot_bytes, 12)}:
+            seen.add(width)
+            assert _convolution_kronecker(u, v, p, width) == expected
     # n = 1 at p = 2^31 - 1 is the one-word slot at the top of the range
     p = 2**31 - 1
-    assert widths(1, p)[0] == 8
+    assert slot_width(1, p) == 8
     for a, b in ((p - 1, p - 1), (1, p - 1), (0, 5)):
         assert _convolution_kronecker([a], [b], p, 8) == [a * b % p]
-    assert seen == set(range(1, 9))
+    assert seen == set(range(1, 13))
 
 
-@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("width", range(1, 10))
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=64), st.data())
 def test_four_point_product_is_the_single_product(width, n, data):
     # every n mod 4, n < 4 leaving classes empty, and every slot width from
-    # 1 to 8 bytes; residues mostly p - 1, so coefficients reach the slot bound
-    primes = [p for p in SLOT_PRIMES if widths(n, p)[0] == width]
+    # 1 to 9 bytes; residues mostly p - 1, so coefficients reach the slot bound
+    primes = [p for p in SLOT_PRIMES if slot_width(n, p) == width]
     assume(primes)
     p = data.draw(st.sampled_from(primes))
     residues = st.lists(st.integers(min_value=0, max_value=4 * p).map(lambda r: min(r, p - 1)),
@@ -184,41 +204,23 @@ def test_four_point_product_is_the_single_product(width, n, data):
 
 
 def test_fast_paths_zero_padding():
-    # a delta times v is v: v's top residues are zero, so the product and
-    # the folded sum both print shorter than their slots on the decimal path
-    for p, n in ((101, 40), (3001, 9), (24989, 300)):
+    # a delta times v is v: v's top residues are zero, so the top slots of
+    # the product are zero, at its own slot width and in 12-byte slots
+    for p, n in ((101, 40), (3001, 9), (24989, 300), (24989, 600)):
         rng = random.Random(p)
         v = [rng.randrange(p) for _ in range(n - 3)] + [0, 0, 0]
         delta = [1] + [0] * (n - 1)
-        slot_bytes, slot_digits = widths(n, p)
         assert cyclic_oracle(delta, v, p) == v
-        assert _convolution_kronecker(delta, v, p, slot_bytes) == v
-        assert _convolution_decimal(delta, v, p, slot_digits) == v
+        assert _convolution_kronecker(delta, v, p, slot_width(n, p)) == v
+        assert _convolution_kronecker(delta, v, p, 12) == v
         assert convolution_mod(delta, v, p) == v
 
 
-def _record_paths(monkeypatch):
-    taken = []
-    for name in ("_convolution_kronecker", "_convolution_decimal"):
-        def spy(*args, real=getattr(modmath, name), name=name):
-            taken.append(name)
-            return real(*args)
-        monkeypatch.setattr(modmath, name, spy)
-    return taken
-
-
-@pytest.mark.parametrize("n, path", [
-    (1, "_convolution_kronecker"),
-    (9, "_convolution_kronecker"),
-    (_DECIMAL_CUTOFF - 1, "_convolution_kronecker"),
-    (_DECIMAL_CUTOFF, "_convolution_decimal"),
-    (_DECIMAL_CUTOFF + 1, "_convolution_decimal"),
-])
-def test_convolution_at_cutoffs(monkeypatch, n, path):
-    # p = 3001 keeps every value in one 64-bit word, so the length alone
-    # picks the path
+@pytest.mark.parametrize("n", [1, 9, 9599, 9600, 9601])
+def test_convolution_at_cutoffs(n):
+    # p = 3001 keeps every value in one 64-bit word; the long lengths, in
+    # the four-point band, are checked in full against the single product
     p = 3001
-    taken = _record_paths(monkeypatch)
     rng = random.Random(n * 7919)
 
     def operand():
@@ -231,24 +233,20 @@ def test_convolution_at_cutoffs(monkeypatch, n, path):
 
     u, v = operand(), operand()
     got = convolution_mod(u, v, p)
-    assert taken == [path]
     # the schoolbook oracle in full where it is cheap; at long lengths the
-    # other fast path in full and the oracle at the ends and 60 random m
+    # single product in full and the oracle at the ends and 60 random m
     ms = sorted({m % n for m in (0, 1, n - 2, n - 1, *rng.sample(range(n), min(n, 60)))})
     assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
-    slot_bytes, slot_digits = widths(n, p)
-    if path == "_convolution_decimal":
-        assert got == _convolution_kronecker(u, v, p, slot_bytes)
-    elif path == "_convolution_kronecker":
-        assert got == _convolution_decimal(u, v, p, slot_digits)
     if n <= 16:
         assert got == cyclic_oracle(u, v, p)
+    else:
+        assert got == convolution_from(u, v, p, n + 1)
 
 
 @pytest.mark.parametrize("n, four_points", [
     (_FOUR_POINT_CUTOFF - 1, False),
     (_FOUR_POINT_CUTOFF, True),
-    (_DECIMAL_CUTOFF - 1, True),
+    (9599, True),
 ])
 def test_convolution_at_four_point_cutoffs(monkeypatch, n, four_points):
     # the Kronecker path's two products, at both edges of the four-point band
@@ -264,11 +262,12 @@ def test_convolution_at_four_point_cutoffs(monkeypatch, n, four_points):
     assert taken == ([n] if four_points else [])
     ms = sorted({0, 1, n - 2, n - 1, *rng.sample(range(n), 60)})
     assert [got[m] for m in ms] == cyclic_oracle(u, v, p, ms)
-    assert got == _convolution_decimal(u, v, p, widths(n, p)[1])
+    # the other product in full
+    assert got == convolution_from(u, v, p, n + 1 if four_points else 0)
 
 
 @pytest.mark.parametrize("p, n", [
-    (7, 8), (3001, 13), (24989, _DECIMAL_CUTOFF + 3)])
+    (7, 8), (3001, 13), (24989, 9603)])
 def test_convolution_zero_operand(p, n):
     rng = random.Random(3)
     v = [rng.randrange(p) for _ in range(n)]
@@ -276,47 +275,54 @@ def test_convolution_zero_operand(p, n):
     assert convolution_mod(zero, v, p) == zero
     assert convolution_mod(v, zero, p) == zero
     assert convolution_mod(zero, zero, p) == zero
-    slot_bytes, slot_digits = widths(n, p)
-    assert _convolution_kronecker(zero, v, p, slot_bytes) == zero
-    assert _convolution_decimal(v, zero, p, slot_digits) == zero
+    assert _convolution_kronecker(zero, v, p, slot_width(n, p)) == zero
+    assert _convolution_kronecker(v, zero, p, 12) == zero
+
+
+def test_no_product_loads_decimal():
+    # the longest band of the north-star sweep (n = 9,603 at p = 19,207)
+    # and slots past 8 bytes (p = 2^31 - 1) run on int and struct alone
+    code = ("import sys; from cyclopair.bernoulli import irregular_indices; "
+            "from cyclopair.modmath import convolution_mod; "
+            "irregular_indices(19207); p = 2**31 - 1; "
+            "assert convolution_mod([p - 1] * 600, [p - 1] * 600, p) == [600] * 600; "
+            "print(sorted({'decimal', '_decimal'} & set(sys.modules)))")
+    # -S, as a .pth file that site runs may import anything
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(Path(modmath.__file__).resolve().parents[1])})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 if __name__ == "__main__":
-    # the best of 25 interleaved times of the single, four-point and decimal
+    # the best of 25 interleaved times of the single and four-point
     # products at every timed length, so that a re-measured cutoff takes
     # one run:
     #   PYTHONPATH=src python tests/test_modmath.py
-    # with --check, one round that asserts only that the three agree
-    import sys
+    # with --check, one round that asserts only that the two agree with
+    # each other and with the schoolbook oracle at 20 sampled m
     import time
 
     check = sys.argv[1:] == ["--check"]
-    print("n\tp\tsingle ms\tfour points ms\tdecimal ms")
-    # the lengths the modmath cutoff comments cite
+    print("n\tp\tsingle ms\tfour points ms")
+    # the lengths the modmath cutoff comment cites
     for n in (249, 450, 500, 1238, 5943, 9006, 9600, 10000, 12494):
         p = next(q for q in range(2 * n + 1, 4 * n + 3) if is_prime(q))
         rng = random.Random(n)
         u, v = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
-        slot_bytes, slot_digits = widths(n, p)
-        cutoff = modmath._FOUR_POINT_CUTOFF
-        routes = {  # the four-point cutoff each runs under, the route, its slot width
-            "single": (n + 1, _convolution_kronecker, slot_bytes),
-            "four points": (0, _convolution_kronecker, slot_bytes),
-            "decimal": (cutoff, _convolution_decimal, slot_digits),
-        }
+        routes = {"single": n + 1, "four points": 0}  # the four-point cutoff of each
         best = dict.fromkeys(routes, float("inf"))
         results = {}
-        try:
-            for _ in range(1 if check else 25):
-                for name, (four_point_cutoff, route, width) in routes.items():
-                    modmath._FOUR_POINT_CUTOFF = four_point_cutoff
-                    start = time.perf_counter()
-                    results[name] = route(u, v, p, width)
-                    best[name] = min(best[name], time.perf_counter() - start)
-        finally:
-            modmath._FOUR_POINT_CUTOFF = cutoff
-        assert results["single"] == results["four points"] == results["decimal"], n
+        for _ in range(1 if check else 25):
+            for name, four_point_cutoff in routes.items():
+                start = time.perf_counter()
+                results[name] = convolution_from(u, v, p, four_point_cutoff)
+                best[name] = min(best[name], time.perf_counter() - start)
+        assert results["single"] == results["four points"], n
         if check:
+            ms = sorted(rng.sample(range(n), 20))
+            assert [results["single"][m] for m in ms] == cyclic_oracle(u, v, p, ms), n
             print(f"{n}\t{p}\tagree")
         else:
             print(f"{n}\t{p}\t" + "\t".join(f"{1000 * t:.2f}" for t in best.values()))
